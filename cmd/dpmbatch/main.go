@@ -213,9 +213,7 @@ func expandScenarioIDs(spec string, t godpm.Tuning) ([]string, error) {
 				ids = append(ids, s.ID)
 			}
 		case strings.EqualFold(part, "ext"):
-			for _, s := range godpm.Extensions(t) {
-				ids = append(ids, s.ID)
-			}
+			ids = append(ids, godpm.ExtensionIDs()...)
 		default:
 			if _, err := scenarioByAnyID(part, t); err != nil {
 				return nil, err
@@ -238,9 +236,7 @@ func scenarioByAnyID(id string, t godpm.Tuning) (godpm.Scenario, error) {
 	for _, s := range godpm.Scenarios(t) {
 		known = append(known, s.ID)
 	}
-	for _, s := range godpm.Extensions(t) {
-		known = append(known, s.ID)
-	}
+	known = append(known, godpm.ExtensionIDs()...)
 	return godpm.Scenario{}, fmt.Errorf("unknown scenario %q; available: %v", id, known)
 }
 

@@ -766,11 +766,37 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// maxTasks bounds the tasks per IP a request may ask the workload
+// generator for: the scenario "tasks" knob of /v1/simulate and
+// /v1/tournament, and the generator specs of an inline config. It is
+// checked before anything is generated — generation runs ahead of
+// admission, so an unbounded count would let one small body cost seconds
+// and hundreds of megabytes before the in-flight bound applies. The
+// largest count the repo's own clients send is 120.
+const maxTasks = 10_000
+
+// checkTasks refuses a task count above maxTasks.
+func checkTasks(n int) error {
+	if n > maxTasks {
+		return fmt.Errorf("tasks %d exceeds the limit of %d per IP", n, maxTasks)
+	}
+	return nil
+}
+
 // resolveConfig turns a simulate request into a runnable Config and an ID.
+// A named scenario generates only its own workloads.
 func resolveConfig(req simulateRequest) (godpm.Config, string, error) {
+	if err := checkTasks(req.Tasks); err != nil {
+		return godpm.Config{}, "", err
+	}
 	if req.Config != nil {
 		if req.Scenario != "" {
 			return godpm.Config{}, "", fmt.Errorf("pass scenario or config, not both")
+		}
+		for _, ip := range req.Config.IPs {
+			if err := checkTasks(ip.Gen.NumTasks()); err != nil {
+				return godpm.Config{}, "", fmt.Errorf("ip %q: %w", ip.Name, err)
+			}
 		}
 		return *req.Config, "inline", nil
 	}
@@ -787,14 +813,12 @@ func resolveConfig(req simulateRequest) (godpm.Config, string, error) {
 	if sc, err := godpm.ScenarioByID(strings.ToUpper(req.Scenario), t); err == nil {
 		return sc.Config, sc.ID, nil
 	}
-	if sc, err := godpm.ExtensionByID(req.Scenario, t); err == nil {
-		return sc.Config, sc.ID, nil
-	}
 	// Paper scenarios resolve case-insensitively above; give extensions
 	// the same leniency.
-	for _, sc := range godpm.Extensions(t) {
-		if strings.EqualFold(sc.ID, req.Scenario) {
-			return sc.Config, sc.ID, nil
+	for _, id := range godpm.ExtensionIDs() {
+		if strings.EqualFold(id, req.Scenario) {
+			sc, err := godpm.ExtensionByID(id, t)
+			return sc.Config, sc.ID, err
 		}
 	}
 	return godpm.Config{}, "", fmt.Errorf("unknown scenario %q", req.Scenario)
@@ -936,6 +960,9 @@ func (s *server) handleTournament(w http.ResponseWriter, r *http.Request) {
 }
 
 func buildTournament(req tournamentRequest) (godpm.Tournament, error) {
+	if err := checkTasks(req.Tasks); err != nil {
+		return godpm.Tournament{}, err
+	}
 	tasks := req.Tasks
 	if tasks <= 0 {
 		tasks = 30

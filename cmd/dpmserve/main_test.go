@@ -104,9 +104,10 @@ func TestConcurrentDuplicatePOSTsShareOneSimulation(t *testing.T) {
 }
 
 // slowBody is a request sized to simulate for a few hundred ms — long
-// enough to observe the server in its in-flight state.
+// enough to observe the server in its in-flight state. At maxTasks the
+// run is bound by the 300 s scenario horizon, not by the task count.
 func slowBody(seed int) string {
-	return fmt.Sprintf(`{"scenario":"A1","tasks":20000,"seed":%d}`, seed)
+	return fmt.Sprintf(`{"scenario":"A1","tasks":%d,"seed":%d}`, maxTasks, seed)
 }
 
 // waitInflight polls statsz until the server reports n in-flight

@@ -146,11 +146,16 @@ func Scenarios(t Tuning) []Scenario { return experiments.All(t) }
 // network, open-loop arrivals, regulator losses).
 func Extensions(t Tuning) []Scenario { return experiments.Extensions(t) }
 
-// ScenarioByID returns one named paper experiment (A1..A4, B, C).
+// ScenarioByID returns one named paper experiment (A1..A4, B, C). Only the
+// named scenario's workloads are generated.
 func ScenarioByID(id string, t Tuning) (Scenario, error) { return experiments.ByID(id, t) }
 
 // ExtensionByID returns one named extension scenario.
 func ExtensionByID(id string, t Tuning) (Scenario, error) { return experiments.ExtensionByID(id, t) }
+
+// ExtensionIDs returns the extension scenario IDs without building any
+// workload.
+func ExtensionIDs() []string { return experiments.ExtensionIDs() }
 
 // DefaultTuning returns the experiments' default workload knobs.
 func DefaultTuning() Tuning { return experiments.DefaultTuning() }

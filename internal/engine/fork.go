@@ -2,9 +2,6 @@ package engine
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"io"
 	"time"
 
 	"godpm/internal/soc"
@@ -46,11 +43,7 @@ func forkPrefixKey(cfg soc.Config) (string, error) {
 		return "", err
 	}
 	norm.Horizon = 0
-	h := sha256.New()
-	io.WriteString(h, fingerprintVersion)
-	io.WriteString(h, "|forkprefix")
-	writeConfig(h, &norm)
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return configKey(domainForkPrefix, &norm), nil
 }
 
 // workUnit is one dispatchable unit of a plan: a single job, or a fork

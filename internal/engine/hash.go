@@ -2,12 +2,18 @@ package engine
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
+	"godpm/internal/acpi"
+	"godpm/internal/power"
+	"godpm/internal/sim"
 	"godpm/internal/soc"
+	"godpm/internal/task"
 	"godpm/internal/workload"
 )
 
@@ -24,7 +30,18 @@ import (
 // v4: soc.IPSpec gained Gen (a workload generator spec materialized during
 // normalization). The spec's parameters are folded into the key alongside
 // the expanded workload.
-const fingerprintVersion = "godpm-config-v4"
+//
+// v5: the fmt-rendered text encoding was replaced by the binary keyEncoder.
+// The hashed fields are v4's; only the bytes (and so every key) changed.
+const fingerprintVersion = "godpm-config-v5"
+
+// Key domains: keys of different kinds never collide, even over equal
+// encodings.
+const (
+	domainConfig     = "config"
+	domainForkPrefix = "forkprefix"
+	domainStops      = "stops"
+)
 
 // Fingerprint returns the canonical content hash of a simulation
 // configuration, usable as a cache key: two configs hash equally iff they
@@ -37,10 +54,14 @@ func Fingerprint(cfg soc.Config) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	h := sha256.New()
-	io.WriteString(h, fingerprintVersion)
-	writeConfig(h, &norm)
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return configKey(domainConfig, &norm), nil
+}
+
+// configKey hashes the encoding of an already-normalized config.
+func configKey(domain string, c *soc.Config) string {
+	e := newKeyEncoder(domain, encodedSizeHint(c))
+	e.config(c)
+	return e.sum()
 }
 
 // jobKey is the cache key of one job: the config fingerprint, extended
@@ -53,80 +74,284 @@ func jobKey(job Job) (string, error) {
 	if err != nil || len(job.Options.StopWhen) == 0 {
 		return key, err
 	}
-	h := sha256.New()
-	io.WriteString(h, fingerprintVersion)
-	field(h, "base", key)
-	field(h, "nstops", len(job.Options.StopWhen))
+	e := newKeyEncoder(domainStops, 128)
+	e.str(key)
+	e.int(len(job.Options.StopWhen))
 	for _, c := range job.Options.StopWhen {
-		field(h, "stop", c.Reason)
+		e.str(c.Reason)
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return e.sum(), nil
 }
 
-// writeConfig streams a deterministic encoding of every result-affecting
-// field. All leaf types reached here are value types (scalars, arrays,
-// structs of scalars), so fmt's rendering is stable across runs and
-// worker counts.
-func writeConfig(w io.Writer, c *soc.Config) {
-	field(w, "policy", c.Policy)
-	field(w, "usegem", c.UseGEM)
-	field(w, "gem", c.GEM)
-	field(w, "battery", c.Battery)
-	field(w, "thermal", c.Thermal)
-	field(w, "initialtempc", c.InitialTempC)
-	field(w, "periptherm", c.PerIPThermal)
-	field(w, "thermalnet", c.ThermalNetwork)
-	field(w, "bus", c.Bus)
-	field(w, "buswords", c.BusWords)
-	field(w, "timeout", c.Timeout)
-	field(w, "timeoutsleep", int(c.TimeoutSleepState))
-	field(w, "greedysleep", int(c.GreedySleepState))
-	field(w, "sample", c.SampleInterval)
-	field(w, "horizon", c.Horizon)
-	field(w, "baseclock", c.BaseClockHz)
-	if c.Regulator != nil {
-		field(w, "regulator", *c.Regulator)
-	}
+// Field tags of the key encoding. Every config field group is preceded by
+// its tag, so adjacent fields cannot alias and the optional sections (the
+// regulator, the rule table, a generator spec) are unambiguous whether
+// present or absent.
+const (
+	tagPolicy byte = iota + 1
+	tagUseGEM
+	tagGEM
+	tagBattery
+	tagThermal
+	tagInitialTemp
+	tagPerIPThermal
+	tagThermalNet
+	tagBus
+	tagBusWords
+	tagTimeout
+	tagGreedy
+	tagSample
+	tagHorizon
+	tagBaseClock
+	tagRegulator
+	tagLEM
+	tagLEMTable
+	tagIPs
+	tagIP
+	tagProfile
+	tagGen
+	tagSequence
+	tagArrivals
+)
 
-	field(w, "lem.predictor", c.LEM.Predictor)
-	field(w, "lem.alpha", c.LEM.Alpha)
-	field(w, "lem.nobreakeven", c.LEM.DisableBreakEven)
-	field(w, "lem.softoff", c.LEM.AllowSoftOff)
-	if c.LEM.Table != nil {
-		// Format renders every rule row plus the default state; the table
-		// has no other behaviour-bearing state.
-		field(w, "lem.table", c.LEM.Table.Format())
-	}
+// itemBytes is the encoded size of one Sequence item or Arrival.
+const itemBytes = 6 * 8
 
-	field(w, "nips", len(c.IPs))
+// keyEncoder builds the binary key encoding: fixed-width little-endian
+// integers, floats as their IEEE-754 bits, length-prefixed strings and
+// slices. The whole encoding is hashed with one SHA-256 call.
+type keyEncoder struct{ buf []byte }
+
+func newKeyEncoder(domain string, sizeHint int) *keyEncoder {
+	e := &keyEncoder{buf: make([]byte, 0, sizeHint)}
+	e.str(fingerprintVersion)
+	e.str(domain)
+	return e
+}
+
+// encodedSizeHint over-estimates a normalized config's encoding so the
+// buffer is allocated once.
+func encodedSizeHint(c *soc.Config) int {
+	n := 1024
 	for i := range c.IPs {
-		spec := &c.IPs[i]
-		field(w, "ip.name", spec.Name)
-		field(w, "ip.prio", spec.StaticPriority)
-		field(w, "ip.init", int(spec.InitialState))
-		field(w, "ip.profile", *spec.Profile)
-		if spec.Gen.Kind != workload.GenNone {
-			// The generator spec is pure value data (scalars, weight
-			// arrays, an inline trace of value structs), so %+v renders it
-			// deterministically. The materialized Sequence/Arrivals below
-			// are derived from it, but hashing both keeps the key honest
-			// if a generator's algorithm ever changes under fixed
-			// parameters.
-			field(w, "ip.gen", spec.Gen)
+		ip := &c.IPs[i]
+		n += 2048 + len(ip.Name) + itemBytes*(len(ip.Sequence)+len(ip.Arrivals)+len(ip.Gen.Trace))
+	}
+	return n
+}
+
+func (e *keyEncoder) sum() string {
+	sum := sha256.Sum256(e.buf)
+	return hex.EncodeToString(sum[:])
+}
+
+func (e *keyEncoder) tag(t byte)         { e.buf = append(e.buf, t) }
+func (e *keyEncoder) u64(v uint64)       { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
+func (e *keyEncoder) int(v int)          { e.u64(uint64(v)) }
+func (e *keyEncoder) state(s acpi.State) { e.u64(uint64(s)) }
+
+// f64 and time write a fixed count of values: callers pass whole field
+// groups, so no length prefix is needed.
+func (e *keyEncoder) f64(vs ...float64) {
+	for _, v := range vs {
+		e.u64(math.Float64bits(v))
+	}
+}
+
+func (e *keyEncoder) time(vs ...sim.Time) {
+	for _, v := range vs {
+		e.u64(uint64(v))
+	}
+}
+
+func (e *keyEncoder) bool(v bool) {
+	if v {
+		e.buf = append(e.buf, 1)
+	} else {
+		e.buf = append(e.buf, 0)
+	}
+}
+
+func (e *keyEncoder) str(s string) {
+	e.int(len(s))
+	e.buf = append(e.buf, s...)
+}
+
+// weights writes a length-prefixed weight array.
+func (e *keyEncoder) weights(vs []float64) {
+	e.int(len(vs))
+	e.f64(vs...)
+}
+
+// config encodes every result-affecting field of a normalized config.
+func (e *keyEncoder) config(c *soc.Config) {
+	e.tag(tagPolicy)
+	e.str(string(c.Policy))
+	e.tag(tagUseGEM)
+	e.bool(c.UseGEM)
+	e.tag(tagGEM)
+	e.int(c.GEM.HighPriorityCutoff)
+	e.f64(c.GEM.BusOccupancyLimit)
+
+	b := &c.Battery
+	e.tag(tagBattery)
+	e.str(b.Kind)
+	e.bool(b.Mains)
+	e.f64(b.CapacityJ, b.InitialSoC, b.RateK, b.RefPower, b.KiBaMC, b.KiBaMK,
+		b.PeukertExponent, b.PeukertRefPower)
+
+	th := &c.Thermal
+	e.tag(tagThermal)
+	e.f64(th.AmbientC, th.RthKperW, th.CthJperK, th.FanFactor, th.MediumAboveC,
+		th.HighAboveC, th.HysteresisC)
+	e.tag(tagInitialTemp)
+	e.f64(c.InitialTempC)
+	e.tag(tagPerIPThermal)
+	e.bool(c.PerIPThermal)
+	tn := &c.ThermalNetwork
+	e.tag(tagThermalNet)
+	e.f64(tn.AmbientC, tn.NodeRthKperW, tn.NodeCthJperK, tn.SpreaderRthKperW,
+		tn.SpreaderCthJperK, tn.FanFactor)
+
+	e.tag(tagBus)
+	e.f64(c.Bus.FreqHz, c.Bus.EnergyPerWord)
+	e.int(int(c.Bus.Arbitration))
+	e.tag(tagBusWords)
+	e.int(c.BusWords)
+	e.tag(tagTimeout)
+	e.time(c.Timeout)
+	e.state(c.TimeoutSleepState)
+	e.tag(tagGreedy)
+	e.state(c.GreedySleepState)
+	e.tag(tagSample)
+	e.time(c.SampleInterval)
+	e.tag(tagHorizon)
+	e.time(c.Horizon)
+	e.tag(tagBaseClock)
+	e.f64(c.BaseClockHz)
+	if r := c.Regulator; r != nil {
+		e.tag(tagRegulator)
+		e.f64(r.FixedLossW, r.CondLossPerW, r.RatioPenalty, r.SweetRatio, r.VinNominal)
+	}
+
+	e.tag(tagLEM)
+	e.str(string(c.LEM.Predictor))
+	e.f64(c.LEM.Alpha)
+	e.bool(c.LEM.DisableBreakEven)
+	e.bool(c.LEM.AllowSoftOff)
+	if c.LEM.Table != nil {
+		e.tag(tagLEMTable)
+		e.buf = c.LEM.Table.AppendCanonical(e.buf)
+	}
+
+	e.tag(tagIPs)
+	e.int(len(c.IPs))
+	for i := range c.IPs {
+		ip := &c.IPs[i]
+		e.tag(tagIP)
+		e.str(ip.Name)
+		e.int(ip.StaticPriority)
+		e.state(ip.InitialState)
+		e.tag(tagProfile)
+		e.profile(ip.Profile)
+		if ip.Gen.Kind != workload.GenNone {
+			// The materialized Sequence/Arrivals below derive from the
+			// spec, but hashing both keeps the key honest if a generator's
+			// algorithm ever changes under fixed parameters.
+			e.tag(tagGen)
+			e.gen(&ip.Gen)
 		}
-		field(w, "ip.nseq", len(spec.Sequence))
-		for _, it := range spec.Sequence {
-			field(w, "s", it)
-		}
-		field(w, "ip.narr", len(spec.Arrivals))
-		for _, a := range spec.Arrivals {
-			field(w, "a", a)
+		e.tag(tagSequence)
+		e.sequence(ip.Sequence)
+		e.tag(tagArrivals)
+		e.int(len(ip.Arrivals))
+		for j := range ip.Arrivals {
+			a := &ip.Arrivals[j]
+			e.task(&a.Task)
+			e.time(a.At)
 		}
 	}
 }
 
-// field writes one labelled value. The label prevents adjacent fields from
-// aliasing ("ab"+"c" vs "a"+"bc").
+func (e *keyEncoder) profile(p *power.Profile) {
+	e.f64(p.CeffF, p.LeakWPerV, p.IdleFactor, p.CyclesPerInstr, p.VScaleEnergy)
+	e.time(p.VScaleLatency)
+	e.weights(p.InstrWeight[:])
+	e.int(len(p.On))
+	for i := range p.On {
+		op := &p.On[i]
+		e.str(op.Name)
+		e.f64(op.FreqHz, op.Vdd)
+	}
+	e.int(len(p.Sleep))
+	for i := range p.Sleep {
+		s := &p.Sleep[i]
+		e.str(s.Name)
+		e.f64(s.Power, s.EnterEnergy, s.WakeEnergy)
+		e.time(s.EnterLatency, s.WakeLatency)
+		e.bool(s.LosesContext)
+	}
+}
+
+// gen encodes a generator spec — every variant, not just the one Kind
+// selects, as v4's rendering of the whole struct did.
+func (e *keyEncoder) gen(g *workload.Spec) {
+	e.str(string(g.Kind))
+	c := &g.Closed
+	e.taskParams(uint64(c.Seed), c.NumTasks, c.MeanInstructions, c.InstrJitter, &c.ClassWeights, &c.PriorityWeights)
+	e.time(c.MeanIdle)
+	e.int(int(c.IdleDist))
+	b := &g.Burst
+	e.taskParams(uint64(b.Seed), b.NumTasks, b.MeanInstructions, b.InstrJitter, &b.ClassWeights, &b.PriorityWeights)
+	e.f64(b.TasksPerBurst)
+	e.time(b.ShortIdle, b.LongIdle)
+	m := &g.MMPP
+	e.taskParams(uint64(m.Seed), m.NumTasks, m.MeanInstructions, m.InstrJitter, &m.ClassWeights, &m.PriorityWeights)
+	e.f64(m.BusyRate, m.QuietRate)
+	e.time(m.MeanBusy, m.MeanQuiet)
+	p := &g.Periodic
+	e.taskParams(uint64(p.Seed), p.NumTasks, p.MeanInstructions, p.InstrJitter, &p.ClassWeights, &p.PriorityWeights)
+	e.time(p.Period)
+	e.f64(p.JitterFrac)
+	h := &g.HeavyTail
+	e.taskParams(uint64(h.Seed), h.NumTasks, h.MeanInstructions, h.InstrJitter, &h.ClassWeights, &h.PriorityWeights)
+	e.time(h.MeanIdle)
+	e.f64(h.Shape, h.TailCap)
+	e.sequence(g.Trace)
+}
+
+// taskParams encodes the task-body parameters every generator profile
+// shares.
+func (e *keyEncoder) taskParams(seed uint64, numTasks int, mean int64, jitter float64,
+	classes *[power.NumInstrClasses]float64, prios *[task.NumPriorities]float64) {
+	e.u64(seed)
+	e.int(numTasks)
+	e.u64(uint64(mean))
+	e.f64(jitter)
+	e.weights(classes[:])
+	e.weights(prios[:])
+}
+
+func (e *keyEncoder) sequence(s workload.Sequence) {
+	e.int(len(s))
+	for i := range s {
+		e.task(&s[i].Task)
+		e.time(s[i].IdleAfter)
+	}
+}
+
+// task encodes the five task fields; with the item's time that makes
+// itemBytes.
+func (e *keyEncoder) task(t *task.Task) {
+	e.int(t.ID)
+	e.u64(uint64(t.Instructions))
+	e.int(int(t.Class))
+	e.int(int(t.Priority))
+	e.time(t.Release)
+}
+
+// field writes one labelled value of the result digest's text encoding.
+// The label prevents adjacent fields from aliasing ("ab"+"c" vs "a"+"bc").
 func field(w io.Writer, name string, v any) {
 	fmt.Fprintf(w, "|%s=%+v", name, v)
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strings"
 
+	"godpm/internal/power"
 	"godpm/internal/sim"
 	"godpm/internal/soc"
 	"godpm/internal/stats"
@@ -111,8 +112,10 @@ func A4(t Tuning) Scenario {
 
 // multiIP builds the B/C scenarios: four IPs with a GEM, battery Low,
 // temperature Low. highFirst selects whether the high-priority IPs carry
-// the high-activity workloads (B) or the low-activity ones (C).
-func multiIP(id, desc string, highFirst bool, t Tuning) Scenario {
+// the high-activity workloads (B) or the low-activity ones (C). openLoop
+// turns each IP's profile into open-loop arrivals instead of a closed-loop
+// sequence (the B-openloop extension).
+func multiIP(id, desc string, highFirst, openLoop bool, t Tuning) Scenario {
 	specs := make([]soc.IPSpec, 4)
 	for i := 0; i < 4; i++ {
 		var prof workload.Profile
@@ -122,10 +125,17 @@ func multiIP(id, desc string, highFirst bool, t Tuning) Scenario {
 		} else {
 			prof = workload.LowActivity(t.Seed+int64(i), t.NumTasks)
 		}
-		specs[i] = soc.IPSpec{
-			Name:           fmt.Sprintf("ip%d", i+1),
-			Sequence:       mixedPriorities(prof).MustGenerate(),
-			StaticPriority: i + 1,
+		prof = mixedPriorities(prof)
+		specs[i] = soc.IPSpec{Name: fmt.Sprintf("ip%d", i+1), StaticPriority: i + 1}
+		if openLoop {
+			// Offered load sized to the ON4 service rate: with battery Low
+			// the whole SoC runs at ON4, and a faster arrival process would
+			// grow the queues without bound (the IPs would never idle, so
+			// the KiBaM recovery that re-enables low-priority IPs could
+			// never happen).
+			specs[i].Arrivals = prof.MustGenerateArrivals(power.DefaultProfile().On[3].FreqHz)
+		} else {
+			specs[i].Sequence = prof.MustGenerate()
 		}
 	}
 	return Scenario{
@@ -145,27 +155,53 @@ func multiIP(id, desc string, highFirst bool, t Tuning) Scenario {
 
 // B — battery Low, temperature Low; IP1/IP2 (priorities 1–2) high activity,
 // IP3/IP4 low activity.
-func B(t Tuning) Scenario {
-	return multiIP("B", "Battery Low, Temp Low: high-priority IPs busy", true, t)
-}
+func B(t Tuning) Scenario { return multiIP("B", descB, true, false, t) }
+
+// descB describes scenario B; the B-openloop extension qualifies it.
+const descB = "Battery Low, Temp Low: high-priority IPs busy"
 
 // C — battery Low, temperature Low; IP1/IP2 low activity, IP3/IP4
 // (priorities 3–4) high activity.
 func C(t Tuning) Scenario {
-	return multiIP("C", "Battery Low, Temp Low: low-priority IPs busy", false, t)
+	return multiIP("C", "Battery Low, Temp Low: low-priority IPs busy", false, false, t)
+}
+
+// builder pairs a scenario ID with the function that builds it, so a
+// lookup by ID generates only the requested scenario's workloads.
+type builder struct {
+	id    string
+	build func(Tuning) Scenario
+}
+
+// paper lists the Table 2 scenarios in table order.
+var paper = []builder{{"A1", A1}, {"A2", A2}, {"A3", A3}, {"A4", A4}, {"B", B}, {"C", C}}
+
+// buildAll builds every scenario of a catalog, in catalog order.
+func buildAll(catalog []builder, t Tuning) []Scenario {
+	out := make([]Scenario, len(catalog))
+	for i, b := range catalog {
+		out[i] = b.build(t)
+	}
+	return out
+}
+
+// lookup builds the catalog entry whose ID equals id exactly.
+func lookup(catalog []builder, id string, t Tuning) (Scenario, bool) {
+	for _, b := range catalog {
+		if b.id == id {
+			return b.build(t), true
+		}
+	}
+	return Scenario{}, false
 }
 
 // All returns the six Table 2 scenarios.
-func All(t Tuning) []Scenario {
-	return []Scenario{A1(t), A2(t), A3(t), A4(t), B(t), C(t)}
-}
+func All(t Tuning) []Scenario { return buildAll(paper, t) }
 
-// ByID returns the named scenario.
+// ByID returns the named scenario, building only that one.
 func ByID(id string, t Tuning) (Scenario, error) {
-	for _, s := range All(t) {
-		if s.ID == id {
-			return s, nil
-		}
+	if s, ok := lookup(paper, id, t); ok {
+		return s, nil
 	}
 	return Scenario{}, fmt.Errorf("experiments: unknown scenario %q", id)
 }

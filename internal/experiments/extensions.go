@@ -5,7 +5,6 @@ import (
 
 	"godpm/internal/power"
 	"godpm/internal/soc"
-	"godpm/internal/workload"
 )
 
 // defaultRegulator builds the converter model the regulator extension uses.
@@ -20,8 +19,19 @@ func defaultRegulator() *power.Regulator { return power.DefaultRegulator() }
 //     (queues build when the GEM throttles low-priority IPs);
 //   - "A1-regulator": scenario A1 with the DC-DC converter between battery
 //     and SoC (the battery sees the converter's losses).
-func Extensions(t Tuning) []Scenario {
-	return []Scenario{BPerIP(t), BOpenLoop(t), A1Regulator(t)}
+func Extensions(t Tuning) []Scenario { return buildAll(extensions, t) }
+
+// extensions lists the extension scenarios in catalog order.
+var extensions = []builder{{"B-perip", BPerIP}, {"B-openloop", BOpenLoop}, {"A1-regulator", A1Regulator}}
+
+// ExtensionIDs returns the extension scenario IDs in catalog order, without
+// building any workload.
+func ExtensionIDs() []string {
+	ids := make([]string, len(extensions))
+	for i, b := range extensions {
+		ids[i] = b.id
+	}
+	return ids
 }
 
 // BPerIP is scenario B with the per-IP thermal network.
@@ -36,26 +46,7 @@ func BPerIP(t Tuning) Scenario {
 // BOpenLoop is scenario B with open-loop arrivals: the same per-IP offered
 // load, but service requests keep arriving regardless of the IP's state.
 func BOpenLoop(t Tuning) Scenario {
-	s := B(t)
-	s.ID = "B-openloop"
-	s.Description = s.Description + " (open-loop arrivals)"
-	for i := range s.Config.IPs {
-		spec := &s.Config.IPs[i]
-		var prof workload.Profile
-		if i < 2 {
-			prof = workload.HighActivity(t.Seed+int64(i), t.NumTasks)
-		} else {
-			prof = workload.LowActivity(t.Seed+int64(i), t.NumTasks)
-		}
-		prof = mixedPriorities(prof)
-		spec.Sequence = nil
-		// Offered load sized to the ON4 service rate: with battery Low the
-		// whole SoC runs at ON4, and a faster arrival process would grow
-		// the queues without bound (the IPs would never idle, so the KiBaM
-		// recovery that re-enables low-priority IPs could never happen).
-		spec.Arrivals = prof.MustGenerateArrivals(power.DefaultProfile().On[3].FreqHz)
-	}
-	return s
+	return multiIP("B-openloop", descB+" (open-loop arrivals)", true, true, t)
 }
 
 // A1Regulator is scenario A1 with the default DC-DC converter model.
@@ -67,12 +58,11 @@ func A1Regulator(t Tuning) Scenario {
 	return s
 }
 
-// ExtensionByID returns the named extension scenario.
+// ExtensionByID returns the named extension scenario, building only that
+// one.
 func ExtensionByID(id string, t Tuning) (Scenario, error) {
-	for _, s := range Extensions(t) {
-		if s.ID == id {
-			return s, nil
-		}
+	if s, ok := lookup(extensions, id, t); ok {
+		return s, nil
 	}
 	return Scenario{}, fmt.Errorf("experiments: unknown extension %q", id)
 }

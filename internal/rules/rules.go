@@ -12,6 +12,7 @@
 package rules
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -203,6 +204,25 @@ func (t *Table) Total() bool {
 		return true
 	}
 	return len(t.Analyze().Unmatched) == 0
+}
+
+// AppendCanonical appends a binary encoding of everything that decides
+// Select — each rule's condition sets and target in order, and the default
+// — to b and returns the extended slice. Rule Source text is diagnostic and
+// left out, so tables that select identically row for row encode equally.
+// Integers are fixed-width little-endian; the rule count prefixes the rows.
+func (t *Table) AppendCanonical(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(t.rules)))
+	for _, r := range t.rules {
+		b = append(b, byte(r.Priority), byte(r.Battery), byte(r.Temp))
+		b = binary.LittleEndian.AppendUint64(b, uint64(r.Target))
+	}
+	hasDefault := byte(0)
+	if t.hasDefault {
+		hasDefault = 1
+	}
+	b = append(b, hasDefault)
+	return binary.LittleEndian.AppendUint64(b, uint64(t.def))
 }
 
 // Format renders the table in the paper's four-column layout.

@@ -341,6 +341,10 @@ func (c *Config) fillDefaults() error {
 				return fmt.Errorf("soc: %s: %w", spec.Name, err)
 			}
 			spec.Sequence, spec.Arrivals = seq, arr
+		} else {
+			// An unselected generator's parameters cannot influence the
+			// run; zero them like the unused manager options below.
+			spec.Gen = workload.Spec{}
 		}
 		if (len(spec.Sequence) > 0) == (len(spec.Arrivals) > 0) {
 			return fmt.Errorf("soc: %s: exactly one of Sequence and Arrivals must be set", spec.Name)

@@ -124,8 +124,19 @@ func (p MMPPProfile) Validate() error {
 	if p.MeanBusy <= 0 || p.MeanQuiet <= 0 {
 		return fmt.Errorf("workload: MeanBusy and MeanQuiet must be positive")
 	}
+	// One busy+quiet cycle carries about this many arrivals. Generation
+	// steps through every phase boundary, so phases far shorter than the
+	// inter-arrival gaps would cost millions of empty phases per arrival.
+	if perCycle := p.BusyRate*p.MeanBusy.Seconds() + p.QuietRate*p.MeanQuiet.Seconds(); perCycle < minArrivalsPerPhaseCycle {
+		return fmt.Errorf("workload: MMPP phases too short for their rates: %.3g arrivals per busy+quiet cycle, want at least %g",
+			perCycle, minArrivalsPerPhaseCycle)
+	}
 	return nil
 }
+
+// minArrivalsPerPhaseCycle bounds MMPP generation to about a thousand
+// phase boundaries per arrival.
+const minArrivalsPerPhaseCycle = 1e-3
 
 // Generate produces the deterministic arrival sequence.
 func (p MMPPProfile) Generate() (ArrivalSequence, error) {
@@ -580,6 +591,26 @@ func (s Spec) Normalized() Spec {
 		}
 	}
 	return s
+}
+
+// NumTasks returns how many tasks the spec generates (0 for GenNone),
+// without generating them.
+func (s Spec) NumTasks() int {
+	switch s.Kind {
+	case GenClosed:
+		return s.Closed.NumTasks
+	case GenBurst:
+		return s.Burst.NumTasks
+	case GenMMPP:
+		return s.MMPP.NumTasks
+	case GenPeriodic:
+		return s.Periodic.NumTasks
+	case GenHeavyTail:
+		return s.HeavyTail.NumTasks
+	case GenTrace:
+		return len(s.Trace)
+	}
+	return 0
 }
 
 // Reseed returns a copy of the spec with the generator's seed replaced —

@@ -178,6 +178,9 @@ func TestGeneratorValidation(t *testing.T) {
 		MMPPSpec(MMPPProfile{NumTasks: 1, MeanInstructions: 1, InstrJitter: 1, BusyRate: 2, QuietRate: 1, MeanBusy: 1, MeanQuiet: 1}),
 		MMPPSpec(MMPPProfile{NumTasks: 1, MeanInstructions: 1, BusyRate: 1, QuietRate: 2, MeanBusy: 1, MeanQuiet: 1}),
 		MMPPSpec(MMPPProfile{NumTasks: 1, MeanInstructions: 1, BusyRate: 2, QuietRate: 1}),
+		// Picosecond phases at a few arrivals per second: billions of
+		// phase boundaries per arrival.
+		MMPPSpec(MMPPProfile{NumTasks: 2, MeanInstructions: 9, BusyRate: 5, QuietRate: 1, MeanBusy: 7, MeanQuiet: 7}),
 		PeriodicSpec(PeriodicProfile{NumTasks: 1, MeanInstructions: 1, Period: 0}),
 		PeriodicSpec(PeriodicProfile{NumTasks: 1, MeanInstructions: 1, Period: sim.Ms, JitterFrac: 1}),
 		HeavyTailSpec(HeavyTailProfile{NumTasks: 1, MeanInstructions: 1, MeanIdle: sim.Ms, Shape: 0.5}),
