@@ -46,13 +46,25 @@ func do(t *testing.T, method, url string, body []byte) *http.Response {
 	return resp
 }
 
-func TestProtocolRoundtrip(t *testing.T) {
-	s, ts := newTestServer(t, serverOptions{})
-	key := strings.Repeat("ab", 32)
-	blob, err := json.Marshal(&godpm.Result{EnergyJ: 3.5, TasksDone: 7, Completed: true})
+// recordBlob encodes a result as the record container the store accepts
+// under key.
+func recordBlob(t *testing.T, key string, r *godpm.Result) []byte {
+	t.Helper()
+	rec, err := godpm.NewCacheRecord(key, r)
 	if err != nil {
 		t.Fatal(err)
 	}
+	blob, err := rec.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+func TestProtocolRoundtrip(t *testing.T) {
+	s, ts := newTestServer(t, serverOptions{})
+	key := strings.Repeat("ab", 32)
+	blob := recordBlob(t, key, &godpm.Result{EnergyJ: 3.5, TasksDone: 7, Completed: true})
 
 	if resp := do(t, http.MethodHead, ts.URL+"/v1/blob/"+key, nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("HEAD before PUT: status %d, want 404", resp.StatusCode)
@@ -70,9 +82,17 @@ func TestProtocolRoundtrip(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET after PUT: status %d, want 200", resp.StatusCode)
 	}
-	var got godpm.Result
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := godpm.DecodeCacheRecord(body)
+	if err != nil {
 		t.Fatalf("decode GET body: %v", err)
+	}
+	got, err := rec.Result()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if got.EnergyJ != 3.5 || got.TasksDone != 7 || !got.Completed {
 		t.Fatalf("roundtripped result = %+v", got)
@@ -94,6 +114,9 @@ func TestProtocolRefusals(t *testing.T) {
 	if resp := do(t, http.MethodPut, ts.URL+"/v1/blob/"+key, []byte("not json")); resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("undecodable PUT: status %d, want 422", resp.StatusCode)
 	}
+	if resp := do(t, http.MethodPut, ts.URL+"/v1/blob/"+key, []byte(`{"EnergyJ":1}`)); resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("JSON PUT: status %d, want 422", resp.StatusCode)
+	}
 	big := bytes.Repeat([]byte("x"), 1024)
 	if resp := do(t, http.MethodPut, ts.URL+"/v1/blob/"+key, big); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized PUT: status %d, want 413", resp.StatusCode)
@@ -114,7 +137,7 @@ func TestStatBatch(t *testing.T) {
 	_, ts := newTestServer(t, serverOptions{})
 	present := strings.Repeat("ef", 32)
 	absent := strings.Repeat("01", 32)
-	blob, _ := json.Marshal(&godpm.Result{})
+	blob := recordBlob(t, present, &godpm.Result{})
 	if resp := do(t, http.MethodPut, ts.URL+"/v1/blob/"+present, blob); resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("PUT: status %d", resp.StatusCode)
 	}
@@ -174,7 +197,7 @@ func TestAdmissionRefusesExcessLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, _ := json.Marshal(&godpm.Result{})
+	blob := recordBlob(t, key, &godpm.Result{})
 	done := make(chan *http.Response, 1)
 	go func() {
 		resp, err := http.DefaultClient.Do(req)
@@ -223,7 +246,7 @@ func TestAdmissionRefusesExcessLoad(t *testing.T) {
 func TestStatszV2Envelope(t *testing.T) {
 	_, ts := newTestServer(t, serverOptions{RateInterval: 10 * time.Millisecond})
 	key := strings.Repeat("ab", 32)
-	blob, _ := json.Marshal(&godpm.Result{EnergyJ: 1, Completed: true})
+	blob := recordBlob(t, key, &godpm.Result{EnergyJ: 1, Completed: true})
 	if resp := do(t, http.MethodPut, ts.URL+"/v1/blob/"+key, blob); resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("PUT: status %d", resp.StatusCode)
 	}

@@ -16,7 +16,8 @@ import (
 // TestResolveConfig pins request resolution: paper IDs resolve
 // case-insensitively, extension IDs exactly and case-folded, tasks and
 // seed tune the scenario, an inline config passes through, and unknown
-// IDs, mixed forms and over-limit task counts are refused.
+// IDs, mixed forms, over-limit task counts and inline power profiles that
+// fail validation are refused.
 func TestResolveConfig(t *testing.T) {
 	tuned := func(tasks int, seed int64) godpm.Tuning {
 		tn := godpm.DefaultTuning()
@@ -46,6 +47,14 @@ func TestResolveConfig(t *testing.T) {
 	genInline := godpm.Config{IPs: []godpm.IPSpec{{
 		Name: "g", Gen: godpm.ClosedGen(godpm.HighActivity(1, maxTasks+1)),
 	}}}
+	// An inline config whose profile stops the ON4 clock.
+	stalledInline, err := paper("A2", 4, 5).Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalled := *stalledInline.IPs[0].Profile
+	stalled.On[3].FreqHz = 0
+	stalledInline.IPs[0].Profile = &stalled
 
 	for _, tc := range []struct {
 		name    string
@@ -71,6 +80,7 @@ func TestResolveConfig(t *testing.T) {
 		{"tasks over limit", simulateRequest{Scenario: "A1", Tasks: maxTasks + 1}, "", godpm.Config{}, "exceeds the limit"},
 		{"tasks over limit, unknown id", simulateRequest{Scenario: "Z9", Tasks: 1_000_000}, "", godpm.Config{}, "exceeds the limit"},
 		{"inline generator over limit", simulateRequest{Config: &genInline}, "", godpm.Config{}, "exceeds the limit"},
+		{"inline profile with a zero ON4 clock", simulateRequest{Config: &stalledInline}, "", godpm.Config{}, "ON4 FreqHz"},
 	} {
 		cfg, id, err := resolveConfig(tc.req)
 		if tc.wantErr != "" {

@@ -31,7 +31,7 @@
 // currency, CacheRecord: a versioned, checksummed, flate-compressed
 // binary container of the result's canonical JSON, so cache hits and
 // blob transfers copy pre-encoded bytes instead of re-marshalling, byte
-// caps account exactly, and old JSON disk entries heal by
+// caps account exactly, and entries that no longer decode heal by
 // re-simulation (see the README's "Cache format"). The serving fleet is
 // observable end to end: both servers expose mergeable latency sketches
 // and rolling rates on /statsz (internal/stats, watched live with

@@ -198,9 +198,6 @@ type (
 	// container, compressed body, checksum, cached content digest) plus
 	// the lazily-decoded Result. See NewCacheRecord/DecodeCacheRecord.
 	CacheRecord = engine.Record
-	// CacheCodec identifies a record body's compression (the container's
-	// codec byte).
-	CacheCodec = engine.Codec
 	// LRUCache is the sharded, bounded in-memory cache (the engine's
 	// default when EngineOptions.Cache is nil).
 	LRUCache = engine.LRU
@@ -258,14 +255,6 @@ const (
 	TierMemory = engine.TierMemory
 	TierDisk   = engine.TierDisk
 	TierRemote = engine.TierRemote
-)
-
-// Record body codecs (see DiskCacheOptions.Codec for the string knob).
-const (
-	// CodecRaw stores canonical JSON uncompressed.
-	CodecRaw = engine.CodecRaw
-	// CodecFlate (the default) compresses bodies with DEFLATE.
-	CodecFlate = engine.CodecFlate
 )
 
 // NewCacheRecord builds a cache record from a computed result,

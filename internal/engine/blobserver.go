@@ -7,8 +7,6 @@ import (
 	"net/http"
 	"strings"
 	"sync/atomic"
-
-	"godpm/internal/soc"
 )
 
 // BlobServerOptions bounds the server side of the dpmremote protocol.
@@ -52,12 +50,10 @@ type BlobServerStats struct {
 //	POST /v1/stat
 //
 // Fingerprints are validated before they address the store, so request
-// paths can never escape it. GET bodies are content-negotiated: a client
-// accepting application/x-gdpm-record gets the stored binary container
-// verbatim — an io.Copy of pre-encoded bytes, no per-GET marshal — and a
-// legacy client gets canonical JSON. PUT accepts either format, and the
-// body must fully decode as a result whichever it is — an undecodable
-// or digest-mismatched upload is refused with 422 rather than stored,
+// paths can never escape it. A GET returns the stored binary record
+// container verbatim — pre-encoded bytes, no per-GET marshal. A PUT body
+// must be a container that fully decodes as a result — anything else,
+// or a digest-mismatched upload, is refused with 422 rather than stored,
 // so one misbehaving client cannot poison the fleet's shared entries.
 //
 // BlobServer is an http.Handler; liveness, stats surfacing and drain
@@ -123,7 +119,7 @@ func (s *BlobServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		case http.MethodHead:
 			s.handleHead(w, key)
 		case http.MethodGet:
-			s.handleGet(w, r, key)
+			s.handleGet(w, key)
 		case http.MethodPut:
 			s.handlePut(w, r, key)
 		default:
@@ -150,7 +146,7 @@ func (s *BlobServer) handleHead(w http.ResponseWriter, key string) {
 	w.WriteHeader(http.StatusOK)
 }
 
-func (s *BlobServer) handleGet(w http.ResponseWriter, r *http.Request, key string) {
+func (s *BlobServer) handleGet(w http.ResponseWriter, key string) {
 	s.gets.Add(1)
 	rec, ok := s.store.Get(key)
 	if !ok {
@@ -158,28 +154,14 @@ func (s *BlobServer) handleGet(w http.ResponseWriter, r *http.Request, key strin
 		return
 	}
 	s.getHits.Add(1)
-	var (
-		data  []byte
-		err   error
-		ctype string
-	)
-	if strings.Contains(r.Header.Get("Accept"), RecordContentType) {
-		// Record-speaking client: the stored container is the response —
-		// already compressed, already checksummed, encoded at most once in
-		// this process's lifetime.
-		data, err = rec.Encode(CodecFlate)
-		ctype = RecordContentType
-	} else {
-		// Legacy client: canonical JSON, inflated lazily and cached on the
-		// record.
-		data, err = rec.JSON()
-		ctype = "application/json"
-	}
+	// The stored container is the response — already compressed, already
+	// checksummed, encoded at most once in this process's lifetime.
+	data, err := rec.Encode()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", ctype)
+	w.Header().Set("Content-Type", RecordContentType)
 	w.Header().Set("Content-Length", fmt.Sprint(len(data)))
 	// The digest lets the client verify the body end-to-end: a flipped
 	// byte in flight that still decodes cleanly is caught at the client
@@ -197,37 +179,26 @@ func (s *BlobServer) handlePut(w http.ResponseWriter, r *http.Request, key strin
 		http.Error(w, "body exceeds max blob size", http.StatusRequestEntityTooLarge)
 		return
 	}
-	var (
-		rec    *Record
-		decErr error
-	)
-	if strings.HasPrefix(r.Header.Get("Content-Type"), RecordContentType) ||
-		(len(data) >= 4 && string(data[:4]) == recordMagic) {
-		rec, decErr = DecodeRecord(data)
-		if decErr == nil && rec.Key() != key {
-			decErr = fmt.Errorf("record keyed %q", rec.Key())
-		}
-	} else {
-		rec, decErr = RecordFromJSON(key, data)
+	rec, decErr := DecodeRecord(data)
+	if decErr == nil && rec.Key() != key {
+		decErr = fmt.Errorf("record keyed %q", rec.Key())
 	}
-	var res *soc.Result
 	if decErr == nil {
 		// Decode all the way: a container whose header checks out but
-		// whose body does not inflate and unmarshal must be refused, not
-		// stored for the fleet.
-		res, decErr = rec.Result()
+		// whose body does not inflate, unmarshal and reproduce the
+		// container's digest must be refused, not stored for the fleet.
+		_, decErr = rec.Result()
 	}
 	if decErr != nil {
 		s.putRejects.Add(1)
 		http.Error(w, "body is not a result record", http.StatusUnprocessableEntity)
 		return
 	}
-	// Hold the decoded body to the digests claimed for it — the request
-	// header's and the container's own: an upload corrupted in flight
-	// (or carrying a lying header) is refused here instead of stored as
-	// a poisoned entry the whole fleet would then share.
-	claimed := r.Header.Get(digestHeader)
-	if want := ResultDigest(res); (claimed != "" && want != claimed) || want != rec.Digest() {
+	// Hold the record to the digest the request header claims for it: an
+	// upload corrupted in flight (or carrying a lying header) is refused
+	// here instead of stored as a poisoned entry the whole fleet would
+	// then share.
+	if claimed := r.Header.Get(digestHeader); claimed != "" && claimed != rec.Digest() {
 		s.putRejects.Add(1)
 		http.Error(w, "body does not match claimed digest", http.StatusUnprocessableEntity)
 		return

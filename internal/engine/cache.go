@@ -50,12 +50,6 @@ type DiskOptions struct {
 	// deleted until the cache fits under 90% of the cap (the hysteresis
 	// amortises the GC's directory scan). 0 means unbounded.
 	MaxBytes int64
-	// Codec selects the record body compression for new entries: "" or
-	// "flate" (the default, DEFLATE via stdlib), "none"/"raw"
-	// (uncompressed). "zstd" has a reserved slot in the format but is not
-	// built into this binary and is refused at open time. Entries written
-	// with any supported codec remain readable regardless of this knob.
-	Codec string
 	// Memory bounds the in-process front cache (see LRUOptions); the
 	// zero value selects the LRU defaults.
 	Memory LRUOptions
@@ -83,18 +77,15 @@ type DiskOptions struct {
 // separate processes are harmless because writes are atomic
 // (write-to-temp + rename) and entries are content-addressed.
 //
-// Opening the cache sweeps temp files abandoned by crashed writers and
-// deletes legacy pre-record `*.json` entries (the old format); those keys
-// heal by re-simulation on their next miss and are rewritten in the new
-// format — stale bytes can never poison a result. A Get that finds a
-// corrupt or stale-format entry deletes it so the slot heals with the
-// next Put instead of re-missing every process lifetime.
+// Opening the cache sweeps temp files abandoned by crashed writers. A Get
+// that finds a corrupt or undecodable entry deletes it so the slot heals
+// by re-simulation with the next Put instead of re-missing every process
+// lifetime — stale bytes can never poison a result.
 type Disk struct {
-	dir   string
-	mem   *LRU
-	fs    FS
-	sync  bool
-	codec Codec
+	dir  string
+	mem  *LRU
+	fs   FS
+	sync bool
 
 	diskHits, diskMisses atomic.Int64
 	// touchBroken latches after the first failed mtime refresh (e.g. a
@@ -110,12 +101,8 @@ type Disk struct {
 	evictions int64
 }
 
-// recExt is the on-disk extension of binary record containers; the
-// pre-record format used legacyExt and is swept at open time.
-const (
-	recExt    = ".rec"
-	legacyExt = ".json"
-)
+// recExt is the on-disk extension of binary record containers.
+const recExt = ".rec"
 
 // NewDisk opens (creating if needed) an unbounded disk cache rooted at
 // dir, sweeping stale temp files left by crashed writers.
@@ -132,13 +119,8 @@ func NewDiskWith(dir string, opts DiskOptions) (*Disk, error) {
 	if fs == nil {
 		fs = OSFS
 	}
-	codec, err := ParseCodec(opts.Codec)
-	if err != nil {
-		return nil, err
-	}
-	c := &Disk{dir: dir, mem: NewLRU(opts.Memory), fs: fs, sync: opts.Sync, codec: codec, maxBytes: opts.MaxBytes}
+	c := &Disk{dir: dir, mem: NewLRU(opts.Memory), fs: fs, sync: opts.Sync, maxBytes: opts.MaxBytes}
 	c.sweepTemp()
-	c.sweepLegacy()
 	c.bytes, c.entries = c.scan()
 	if c.maxBytes > 0 {
 		c.gc()
@@ -161,29 +143,6 @@ func (c *Disk) sweepTemp() {
 	}
 	for _, m := range matches {
 		c.fs.Remove(m)
-	}
-}
-
-// sweepLegacy deletes pre-record `*.json` entries: the old format cannot
-// be trusted to round-trip through the current decoder, so migration is
-// by re-simulation — each swept key serves one miss, the engine
-// recomputes it, and the slot is rewritten as a `*.rec` container.
-// Content addressing makes this safe (a fingerprint's result is
-// recomputable by construction), and it guarantees stale-format bytes
-// can never poison a response.
-func (c *Disk) sweepLegacy() {
-	matches, err := filepath.Glob(filepath.Join(c.dir, "*"+legacyExt))
-	if err != nil || len(matches) == 0 {
-		return
-	}
-	swept := 0
-	for _, m := range matches {
-		if c.fs.Remove(m) == nil {
-			swept++
-		}
-	}
-	if swept > 0 {
-		log.Printf("engine: disk cache %s: removed %d legacy JSON entries (format migration; keys heal by re-simulation)", c.dir, swept)
 	}
 }
 
@@ -218,7 +177,7 @@ func (c *Disk) Get(key string) (*Record, bool) {
 	}
 	rec, err := DecodeRecord(data)
 	if err != nil || rec.Key() != key {
-		// A corrupt, mis-keyed or stale-format entry can never hit again;
+		// A corrupt, mis-keyed or undecodable entry can never hit again;
 		// delete it so the next Put heals the slot instead of the key
 		// re-missing every process lifetime.
 		c.remove(path, int64(len(data)))
@@ -261,16 +220,16 @@ func (c *Disk) Has(key string) bool {
 }
 
 // Put stores a record in memory and on disk, then enforces the size cap.
-// The on-disk payload is the record's binary container (compressed per
-// DiskOptions.Codec) — encoding is cached on the record, so a record
-// replicated to several stores compresses once. The write is atomic
+// The on-disk payload is the record's binary container — encoding is
+// cached on the record, so a record replicated to several stores
+// compresses once. The write is atomic
 // (temp + rename); with DiskOptions.Sync it is additionally
 // crash-consistent: the payload is fsynced before the rename publishes
 // it, so a crash at any point leaves the slot holding the old entry, the
 // complete new entry, or nothing — never a torn file.
 func (c *Disk) Put(key string, rec *Record) error {
 	c.mem.Put(key, rec)
-	data, err := rec.Encode(c.codec)
+	data, err := rec.Encode()
 	if err != nil {
 		return fmt.Errorf("engine: encode record: %w", err)
 	}

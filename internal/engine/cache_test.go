@@ -1,6 +1,8 @@
 package engine_test
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -130,11 +132,11 @@ func TestDiskKeyMismatchIsMiss(t *testing.T) {
 
 // TestDiskSizeCapGC pins the size-capped disk cache: overflow deletes the
 // least-recently-modified entries first, both at open and after Put.
-// Codec "none" keeps every entry byte-for-byte the same size so the GC
-// arithmetic is exact.
+// Every entry stores the same result under its own key, so the entries
+// are byte-for-byte the same size and the GC arithmetic is exact.
 func TestDiskSizeCapGC(t *testing.T) {
 	dir := t.TempDir()
-	unbounded, err := engine.NewDiskWith(dir, engine.DiskOptions{Codec: "none"})
+	unbounded, err := engine.NewDisk(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,13 +144,16 @@ func TestDiskSizeCapGC(t *testing.T) {
 	base := time.Now().Add(-time.Hour)
 	for i := 0; i < 8; i++ {
 		key := fakeDiskKey(i)
-		if err := unbounded.Put(key, mustRecord(t, key, &soc.Result{EnergyJ: float64(i)})); err != nil {
+		if err := unbounded.Put(key, mustRecord(t, key, &soc.Result{EnergyJ: 1})); err != nil {
 			t.Fatal(err)
 		}
 		path := filepath.Join(dir, key+".rec")
 		fi, err := os.Stat(path)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if i > 0 && fi.Size() != entrySize {
+			t.Fatalf("entry %d is %d bytes, entry 0 %d: sizes must match for exact GC arithmetic", i, fi.Size(), entrySize)
 		}
 		entrySize = fi.Size()
 		// Deterministic mtime order: key i is older than key i+1.
@@ -162,7 +167,7 @@ func TestDiskSizeCapGC(t *testing.T) {
 	// hysteresis — evicts oldest-first down to ≤ 0.9×cap, keeping the 3
 	// newest (3 entries fit under 3.6 entries' worth of budget).
 	maxBytes := 4 * entrySize
-	capped, err := engine.NewDiskWith(dir, engine.DiskOptions{MaxBytes: maxBytes, Codec: "none"})
+	capped, err := engine.NewDiskWith(dir, engine.DiskOptions{MaxBytes: maxBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +180,7 @@ func TestDiskSizeCapGC(t *testing.T) {
 		}
 	}
 	for i := 5; i < 8; i++ {
-		if rec, ok := capped.Get(fakeDiskKey(i)); !ok || energyHit(t, rec) != float64(i) {
+		if _, ok := capped.Get(fakeDiskKey(i)); !ok {
 			t.Fatalf("recent entry %d lost by GC", i)
 		}
 	}
@@ -183,7 +188,7 @@ func TestDiskSizeCapGC(t *testing.T) {
 	// The freed headroom absorbs the next Put without re-scanning, and
 	// the cap holds. The payload matches the others byte-for-byte so the
 	// arithmetic stays exact.
-	if err := capped.Put(fakeDiskKey(100), mustRecord(t, fakeDiskKey(100), &soc.Result{EnergyJ: 9})); err != nil {
+	if err := capped.Put(fakeDiskKey(100), mustRecord(t, fakeDiskKey(100), &soc.Result{EnergyJ: 1})); err != nil {
 		t.Fatal(err)
 	}
 	st := capped.CacheStats()
@@ -201,96 +206,98 @@ func TestDiskSizeCapGC(t *testing.T) {
 	}
 }
 
-// TestDiskLegacyJSONMigration pins the format migration: a directory
-// seeded with old-format JSON entries opens cleanly, the legacy files are
-// removed (keys heal by re-simulation), old keys are misses — never
-// poison — and fresh Puts land in the new record format only.
-func TestDiskLegacyJSONMigration(t *testing.T) {
+// TestDiskCodecRoundTrip pins the one record codec end to end through
+// the disk store — a flate container survives a reopen — and the fate of
+// an entry carrying any other codec byte (the uncompressed body an older
+// build could write): it is a miss, never a poisoned hit, it is deleted
+// like any undecodable entry, and the slot heals with the next Put.
+func TestDiskCodecRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	legacy := map[string]string{
-		"0a0a": `{"EnergyJ":12.5,"TasksDone":3}`,
-		"0b0b": `{"EnergyJ":99,"Completed":true}`,
-		"0c0c": `{truncated garbage`,
-	}
-	for key, body := range legacy {
-		if err := os.WriteFile(filepath.Join(dir, key+".json"), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	c, err := engine.NewDisk(dir)
 	if err != nil {
-		t.Fatalf("open over legacy dir: %v", err)
+		t.Fatal(err)
 	}
-	if left := listFiles(t, dir, "*.json"); len(left) != 0 {
-		t.Fatalf("legacy entries survived migration sweep: %v", left)
+	r := &soc.Result{EnergyJ: 3.25, TasksDone: 9, Completed: true,
+		EnergyByIP: map[string]float64{"cpu": 2, "dsp": 1.25}}
+	const key, oldKey = "0a0a", "0b0b"
+	rec := mustRecord(t, key, r)
+	if err := c.Put(key, rec); err != nil {
+		t.Fatal(err)
 	}
-	for key := range legacy {
-		if _, ok := c.Get(key); ok {
-			t.Fatalf("legacy key %s served as a hit after migration", key)
-		}
+	enc, err := rec.Encode()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := c.CacheStats(); st.Entries != 0 || st.Bytes != 0 {
-		t.Fatalf("migrated cache not empty: %+v", st)
+	if enc[5] != 1 {
+		t.Fatalf("stored codec byte %d, want 1 (flate)", enc[5])
 	}
 
-	// The keys heal: re-simulated results Put in the new format and
-	// round-trip across a reopen.
-	for key := range legacy {
-		if err := c.Put(key, mustRecord(t, key, &soc.Result{EnergyJ: 1})); err != nil {
-			t.Fatal(err)
-		}
+	// An old entry: a checksummed container whose codec byte says the
+	// body is stored raw.
+	oldRec := mustRecord(t, oldKey, r)
+	raw, err := oldRec.JSON()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := len(listFiles(t, dir, "*.rec")); n != len(legacy) {
-		t.Fatalf("%d .rec entries after heal, want %d", n, len(legacy))
+	old := oldContainer(oldKey, oldRec.Digest(), raw)
+	oldPath := filepath.Join(dir, oldKey+".rec")
+	if err := os.WriteFile(oldPath, old, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if n := len(listFiles(t, dir, "*.json")); n != 0 {
-		t.Fatal("a Put wrote a legacy-format entry")
-	}
+
 	c2, err := engine.NewDisk(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for key := range legacy {
-		if rec, ok := c2.Get(key); !ok || energyHit(t, rec) != 1 {
-			t.Fatalf("healed key %s not served after reopen", key)
-		}
+	got, ok := c2.Get(key)
+	if !ok {
+		t.Fatal("stored entry missed after reopen")
+	}
+	res, err := got.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.EnergyJ != r.EnergyJ || res.TasksDone != r.TasksDone || res.EnergyByIP["dsp"] != 1.25 {
+		t.Fatalf("round-trip mangled result: %+v", res)
+	}
+
+	if _, ok := c2.Get(oldKey); ok {
+		t.Fatal("entry with a retired codec byte served as a hit")
+	}
+	if _, err := os.Stat(oldPath); !os.IsNotExist(err) {
+		t.Fatal("undecodable old entry not deleted")
+	}
+	if err := c2.Put(oldKey, mustRecord(t, oldKey, r)); err != nil {
+		t.Fatal(err)
+	}
+	c3, err := engine.NewDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := c3.Get(oldKey); !ok || energyHit(t, got) != r.EnergyJ {
+		t.Fatal("healed slot not served after reopen")
+	}
+	if st := c3.CacheStats(); st.Entries != 2 {
+		t.Fatalf("entries = %d after heal, want 2", st.Entries)
 	}
 }
 
-// TestDiskCodecRoundTrip pins both supported codecs end to end through
-// the disk store, and the zstd gate.
-func TestDiskCodecRoundTrip(t *testing.T) {
-	for _, codec := range []string{"", "flate", "none", "raw"} {
-		dir := t.TempDir()
-		c, err := engine.NewDiskWith(dir, engine.DiskOptions{Codec: codec})
-		if err != nil {
-			t.Fatalf("codec %q: %v", codec, err)
-		}
-		r := &soc.Result{EnergyJ: 3.25, TasksDone: 9, Completed: true,
-			EnergyByIP: map[string]float64{"cpu": 2, "dsp": 1.25}}
-		if err := c.Put("k1", mustRecord(t, "k1", r)); err != nil {
-			t.Fatalf("codec %q: %v", codec, err)
-		}
-		c2, err := engine.NewDiskWith(dir, engine.DiskOptions{}) // default decodes any codec
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, ok := c2.Get("k1")
-		if !ok {
-			t.Fatalf("codec %q: stored entry missed", codec)
-		}
-		got, err := rec.Result()
-		if err != nil {
-			t.Fatalf("codec %q: %v", codec, err)
-		}
-		if got.EnergyJ != r.EnergyJ || got.TasksDone != r.TasksDone || got.EnergyByIP["dsp"] != 1.25 {
-			t.Fatalf("codec %q: round-trip mangled result: %+v", codec, got)
-		}
-	}
-	if _, err := engine.NewDiskWith(t.TempDir(), engine.DiskOptions{Codec: "zstd"}); err == nil {
-		t.Fatal("zstd codec accepted despite not being built in")
-	}
+// oldContainer builds a container the way a build with an uncompressed
+// codec wrote it: codec byte 0, the canonical JSON stored as the body.
+func oldContainer(key, digest string, raw []byte) []byte {
+	out := make([]byte, 52, 52+len(key)+len(digest)+len(raw))
+	copy(out, "GDPM")
+	out[4] = 1 // version
+	out[5] = 0 // the retired raw codec
+	binary.LittleEndian.PutUint16(out[8:], uint16(len(key)))
+	binary.LittleEndian.PutUint16(out[10:], uint16(len(digest)))
+	binary.LittleEndian.PutUint32(out[12:], uint32(len(raw)))
+	binary.LittleEndian.PutUint32(out[16:], uint32(len(raw)))
+	sum := sha256.Sum256(raw)
+	copy(out[20:], sum[:])
+	out = append(out, key...)
+	out = append(out, digest...)
+	return append(out, raw...)
 }
 
 // fakeDiskKey builds a distinct hex cache key per index.

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -25,80 +26,28 @@ import (
 // On disk and on the wire a record travels as a compact versioned binary
 // container (see Encode): a fixed header carrying the fingerprint, the
 // result's content digest and a checksum, followed by the body —
-// canonical JSON, compressed per the header's codec. Records are immutable
-// after construction (the lazy fields fill monotonically), so one record
-// may safely back many concurrent jobs and HTTP responses.
+// DEFLATE-compressed canonical JSON. Records are immutable after
+// construction (the lazy fields fill monotonically), so one record may
+// safely back many concurrent jobs and HTTP responses.
 type Record struct {
 	key    string
 	digest string
 	rawLen int
 
 	mu        sync.Mutex
-	codec     Codec
-	body      []byte // stored/wire body (compressed per codec); nil until first Encode of a fresh record
 	raw       []byte // canonical JSON; nil until inflated for a decoded container
-	container []byte // cached full container encoding (codec `codec`)
+	container []byte // cached container encoding; nil until first Encode of a fresh record
 
 	res atomic.Pointer[soc.Result]
 	aux atomic.Pointer[[]byte]
 }
-
-// Codec identifies a record body's compression. The byte values are part
-// of the on-disk/wire format — never renumber them.
-type Codec uint8
-
-const (
-	// CodecRaw stores the canonical JSON body uncompressed.
-	CodecRaw Codec = 0
-	// CodecFlate compresses the body with DEFLATE (stdlib compress/flate).
-	// This is the default: ledger-heavy result JSON shrinks 5-10x.
-	CodecFlate Codec = 1
-	// CodecZstd is reserved for zstd-compressed bodies, following rcc's
-	// holotree zstd spec. The codec byte is allocated so stores written by
-	// a zstd-enabled build stay identifiable, but this build has no zstd
-	// implementation compiled in: encoding with it is refused, and a
-	// container carrying it decodes with ErrCodecUnavailable.
-	CodecZstd Codec = 2
-)
-
-// ParseCodec maps a codec knob ("", "flate", "none"/"raw", "zstd") to its
-// Codec. The empty string selects the default (flate). Codecs the binary
-// cannot encode (zstd) are refused here, at configuration time.
-func ParseCodec(name string) (Codec, error) {
-	switch name {
-	case "", "flate":
-		return CodecFlate, nil
-	case "none", "raw":
-		return CodecRaw, nil
-	case "zstd":
-		return 0, fmt.Errorf("engine: %w", ErrCodecUnavailable)
-	default:
-		return 0, fmt.Errorf("engine: unknown record codec %q (have: flate, none)", name)
-	}
-}
-
-func (c Codec) String() string {
-	switch c {
-	case CodecRaw:
-		return "none"
-	case CodecFlate:
-		return "flate"
-	case CodecZstd:
-		return "zstd"
-	}
-	return fmt.Sprintf("codec(%d)", uint8(c))
-}
-
-// ErrCodecUnavailable reports a record whose codec this binary cannot
-// process (e.g. zstd, whose slot is reserved but not compiled in).
-var ErrCodecUnavailable = fmt.Errorf("zstd codec not built into this binary")
 
 // The binary container layout, little-endian:
 //
 //	offset  size  field
 //	     0     4  magic "GDPM"
 //	     4     1  format version (recordVersion)
-//	     5     1  codec
+//	     5     1  codec (recordCodecFlate; any other value is refused)
 //	     6     2  flags (reserved, 0)
 //	     8     2  key length
 //	    10     2  digest length
@@ -117,6 +66,13 @@ const (
 	recordHdrLen   = 52
 	maxRecordField = 1 << 10 // sanity bound on key/digest lengths
 	maxRecordBody  = 1 << 30 // sanity bound on raw/body lengths
+
+	// recordCodecFlate marks a DEFLATE (stdlib compress/flate) body, the
+	// one codec the format has.
+	recordCodecFlate = 1
+	// maxDeflateRatio is DEFLATE's largest possible expansion (258-byte
+	// matches coded in 2 bits): a larger raw length is a forged header.
+	maxDeflateRatio = 1032
 
 	// recordOverhead is the fixed per-record share of MemSize: the struct,
 	// its entry bookkeeping in a cache, and slack for the lazy fields.
@@ -146,26 +102,11 @@ func NewRecord(key string, r *soc.Result) (*Record, error) {
 	return rec, nil
 }
 
-// RecordFromJSON builds a record from legacy canonical-JSON bytes (the
-// pre-binary wire format). The bytes are decoded eagerly — callers use
-// this at trust boundaries, where an undecodable body must be refused —
-// and the digest is computed from the decoded result.
-func RecordFromJSON(key string, raw []byte) (*Record, error) {
-	var r soc.Result
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return nil, fmt.Errorf("engine: decode result: %w", err)
-	}
-	rec := &Record{key: key, digest: ResultDigest(&r), rawLen: len(raw), raw: raw}
-	rec.res.Store(&r)
-	return rec, nil
-}
-
 // DecodeRecord parses a binary container. The header is validated
-// (magic, version, lengths) and the body checksum is verified, so a
-// decoded record's bytes are known-intact — but the body is NOT
+// (magic, version, codec, lengths) and the body checksum is verified, so
+// a decoded record's bytes are known-intact — but the body is NOT
 // decompressed or unmarshalled here; that happens lazily on the first
-// JSON()/Result() call. A record with an unknown codec decodes only far
-// enough to report ErrCodecUnavailable.
+// JSON()/Result() call.
 func DecodeRecord(data []byte) (*Record, error) {
 	if len(data) < recordHdrLen || string(data[:4]) != recordMagic {
 		return nil, fmt.Errorf("engine: not a record container")
@@ -173,13 +114,8 @@ func DecodeRecord(data []byte) (*Record, error) {
 	if v := data[4]; v != recordVersion {
 		return nil, fmt.Errorf("engine: record version %d not supported (want %d)", v, recordVersion)
 	}
-	codec := Codec(data[5])
-	switch codec {
-	case CodecRaw, CodecFlate:
-	case CodecZstd:
-		return nil, fmt.Errorf("engine: record: %w", ErrCodecUnavailable)
-	default:
-		return nil, fmt.Errorf("engine: record: unknown codec %d", codec)
+	if c := data[5]; c != recordCodecFlate {
+		return nil, fmt.Errorf("engine: record: unknown codec %d", c)
 	}
 	keyLen := int(binary.LittleEndian.Uint16(data[8:10]))
 	digestLen := int(binary.LittleEndian.Uint16(data[10:12]))
@@ -188,6 +124,11 @@ func DecodeRecord(data []byte) (*Record, error) {
 	if keyLen > maxRecordField || digestLen > maxRecordField ||
 		rawLen > maxRecordBody || bodyLen > maxRecordBody {
 		return nil, fmt.Errorf("engine: record header lengths out of range")
+	}
+	if int64(rawLen) > maxDeflateRatio*int64(bodyLen) {
+		// No DEFLATE stream expands further, so the header is forged;
+		// refuse it before inflate would allocate the claimed length.
+		return nil, fmt.Errorf("engine: record raw length %d impossible for a %d-byte body", rawLen, bodyLen)
 	}
 	if len(data) != recordHdrLen+keyLen+digestLen+bodyLen {
 		return nil, fmt.Errorf("engine: record length %d does not match header (want %d)",
@@ -201,14 +142,7 @@ func DecodeRecord(data []byte) (*Record, error) {
 	if sha256.Sum256(body) != sum {
 		return nil, fmt.Errorf("engine: record body checksum mismatch")
 	}
-	rec := &Record{key: key, digest: digest, rawLen: rawLen, codec: codec, body: body, container: data}
-	if codec == CodecRaw {
-		if len(body) != rawLen {
-			return nil, fmt.Errorf("engine: raw record body length %d != header raw length %d", len(body), rawLen)
-		}
-		rec.raw = body
-	}
-	return rec, nil
+	return &Record{key: key, digest: digest, rawLen: rawLen, container: data}, nil
 }
 
 // Key returns the fingerprint the record was stored under ("" for records
@@ -221,7 +155,7 @@ func (r *Record) Key() string { return r.key }
 func (r *Record) Digest() string { return r.digest }
 
 // RawLen is the canonical JSON length in bytes — the record's logical
-// size, independent of codec.
+// size, independent of compression.
 func (r *Record) RawLen() int { return r.rawLen }
 
 // MemSize is the record's in-memory accounting size: a deterministic
@@ -245,22 +179,26 @@ func (r *Record) jsonLocked() ([]byte, error) {
 	if r.raw != nil {
 		return r.raw, nil
 	}
-	switch r.codec {
-	case CodecFlate:
-		raw, err := inflate(r.body, r.rawLen)
-		if err != nil {
-			return nil, fmt.Errorf("engine: record body: %w", err)
-		}
-		r.raw = raw
-		return raw, nil
-	default:
-		return nil, fmt.Errorf("engine: record has no body (codec %s)", r.codec)
+	// A record without canonical JSON was decoded from a container; its
+	// body follows the key and digest.
+	body := r.container[recordHdrLen+len(r.key)+len(r.digest):]
+	raw, err := inflate(body, r.rawLen)
+	if err != nil {
+		return nil, fmt.Errorf("engine: record body: %w", err)
 	}
+	r.raw = raw
+	return raw, nil
 }
 
+// errDigestMismatch reports a record body that decodes but does not
+// reproduce the content digest its container (or a peer) vouches for.
+var errDigestMismatch = errors.New("engine: record body does not match its digest")
+
 // Result returns the decoded result, unmarshalling the canonical JSON on
-// first call. Results handed out are shared — treat them as strictly
-// immutable, exactly like Cache.Get's contract.
+// first call and holding it to the record's digest, so a container whose
+// header digest was altered never yields a result. Results handed out are
+// shared — treat them as strictly immutable, exactly like Cache.Get's
+// contract.
 func (r *Record) Result() (*soc.Result, error) {
 	if res := r.res.Load(); res != nil {
 		return res, nil
@@ -273,56 +211,43 @@ func (r *Record) Result() (*soc.Result, error) {
 	if err := json.Unmarshal(raw, &res); err != nil {
 		return nil, fmt.Errorf("engine: decode record: %w", err)
 	}
+	if ResultDigest(&res) != r.digest {
+		return nil, errDigestMismatch
+	}
 	// A concurrent decoder may have won; either pointer is the same value.
 	r.res.CompareAndSwap(nil, &res)
 	return r.res.Load(), nil
 }
 
-// Encode returns the record's binary container for the codec, compressing
-// the body on first use and caching the encoding (so a record stored to
-// disk and replicated to a remote store with the same codec compresses
-// once). The returned slice is shared — treat it as immutable.
-func (r *Record) Encode(codec Codec) ([]byte, error) {
+// Encode returns the record's binary container, compressing the body on
+// first use and caching the encoding (so a record stored to disk and
+// replicated to a remote store compresses once). The returned slice is
+// shared — treat it as immutable.
+func (r *Record) Encode() ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.container != nil && r.codec == codec {
+	if r.container != nil {
 		return r.container, nil
 	}
-	raw, err := r.jsonLocked()
+	body, err := deflate(r.raw)
 	if err != nil {
-		return nil, err
-	}
-	var body []byte
-	switch codec {
-	case CodecRaw:
-		body = raw
-	case CodecFlate:
-		if r.body != nil && r.codec == CodecFlate {
-			body = r.body
-		} else {
-			body, err = deflate(raw)
-			if err != nil {
-				return nil, fmt.Errorf("engine: compress record: %w", err)
-			}
-		}
-	default:
-		return nil, fmt.Errorf("engine: encode record: %w", ErrCodecUnavailable)
+		return nil, fmt.Errorf("engine: compress record: %w", err)
 	}
 	out := make([]byte, recordHdrLen, recordHdrLen+len(r.key)+len(r.digest)+len(body))
 	copy(out[0:4], recordMagic)
 	out[4] = recordVersion
-	out[5] = byte(codec)
+	out[5] = recordCodecFlate
 	binary.LittleEndian.PutUint16(out[6:8], 0)
 	binary.LittleEndian.PutUint16(out[8:10], uint16(len(r.key)))
 	binary.LittleEndian.PutUint16(out[10:12], uint16(len(r.digest)))
-	binary.LittleEndian.PutUint32(out[12:16], uint32(len(raw)))
+	binary.LittleEndian.PutUint32(out[12:16], uint32(len(r.raw)))
 	binary.LittleEndian.PutUint32(out[16:20], uint32(len(body)))
 	sum := sha256.Sum256(body)
 	copy(out[20:52], sum[:])
 	out = append(out, r.key...)
 	out = append(out, r.digest...)
 	out = append(out, body...)
-	r.codec, r.body, r.container = codec, body, out
+	r.container = out
 	return out, nil
 }
 

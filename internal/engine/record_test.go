@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"strings"
+	"fmt"
 	"testing"
 
 	"godpm/internal/sim"
@@ -13,7 +13,7 @@ import (
 )
 
 // richResult builds a result with every size-relevant field populated so
-// the compressed/uncompressed paths both carry real payload.
+// the compressed body carries real payload.
 func richResult() *soc.Result {
 	return &soc.Result{
 		EnergyJ:    12.345,
@@ -40,47 +40,52 @@ func testRecord(t *testing.T) *Record {
 	return rec
 }
 
-// TestRecordRoundTrip encodes with each supported codec and decodes the
-// container back: key, digest, canonical bytes and decoded value must all
-// survive, and repeated Encode calls on one record return the identical
-// cached container.
+// TestRecordRoundTrip encodes a record and decodes the container back:
+// key, digest, canonical bytes and decoded value must all survive, and
+// repeated Encode calls on one record return the identical cached
+// container.
 func TestRecordRoundTrip(t *testing.T) {
-	for _, codec := range []Codec{CodecRaw, CodecFlate} {
-		rec := testRecord(t)
-		enc, err := rec.Encode(codec)
-		if err != nil {
-			t.Fatalf("%v: Encode: %v", codec, err)
-		}
-		again, err := rec.Encode(codec)
-		if err != nil || !bytes.Equal(enc, again) {
-			t.Fatalf("%v: second Encode not the cached container", codec)
-		}
+	rec := testRecord(t)
+	enc, err := rec.Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	again, err := rec.Encode()
+	if err != nil || !bytes.Equal(enc, again) {
+		t.Fatal("second Encode not the cached container")
+	}
+	if enc[5] != recordCodecFlate {
+		t.Fatalf("codec byte %d, want %d", enc[5], recordCodecFlate)
+	}
 
-		got, err := DecodeRecord(enc)
-		if err != nil {
-			t.Fatalf("%v: DecodeRecord: %v", codec, err)
-		}
-		if got.Key() != rec.Key() || got.Digest() != rec.Digest() {
-			t.Fatalf("%v: identity mangled: key %q digest %q", codec, got.Key(), got.Digest())
-		}
-		wantJSON, _ := rec.JSON()
-		gotJSON, err := got.JSON()
-		if err != nil || !bytes.Equal(gotJSON, wantJSON) {
-			t.Fatalf("%v: canonical bytes differ after round trip (err %v)", codec, err)
-		}
-		r, err := got.Result()
-		if err != nil {
-			t.Fatalf("%v: Result: %v", codec, err)
-		}
-		if r.EnergyJ != 12.345 || r.EnergyByIP["dsp"] != 2.345 || !r.Completed {
-			t.Fatalf("%v: decoded result mangled: %+v", codec, r)
-		}
-		if r.WallSeconds != 0 {
-			t.Fatalf("%v: volatile WallSeconds leaked into the canonical body", codec)
-		}
-		if ResultDigest(r) != rec.Digest() {
-			t.Fatalf("%v: decoded result does not reproduce the stored digest", codec)
-		}
+	got, err := DecodeRecord(enc)
+	if err != nil {
+		t.Fatalf("DecodeRecord: %v", err)
+	}
+	if got.Key() != rec.Key() || got.Digest() != rec.Digest() {
+		t.Fatalf("identity mangled: key %q digest %q", got.Key(), got.Digest())
+	}
+	wantJSON, _ := rec.JSON()
+	gotJSON, err := got.JSON()
+	if err != nil || !bytes.Equal(gotJSON, wantJSON) {
+		t.Fatalf("canonical bytes differ after round trip (err %v)", err)
+	}
+	r, err := got.Result()
+	if err != nil {
+		t.Fatalf("Result: %v", err)
+	}
+	if r.EnergyJ != 12.345 || r.EnergyByIP["dsp"] != 2.345 || !r.Completed {
+		t.Fatalf("decoded result mangled: %+v", r)
+	}
+	if r.WallSeconds != 0 {
+		t.Fatal("volatile WallSeconds leaked into the canonical body")
+	}
+	if ResultDigest(r) != rec.Digest() {
+		t.Fatal("decoded result does not reproduce the stored digest")
+	}
+	reenc, err := got.Encode()
+	if err != nil || !bytes.Equal(reenc, enc) {
+		t.Fatal("a decoded record does not re-encode to its own container")
 	}
 }
 
@@ -98,8 +103,8 @@ func TestRecordDeterministicBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ea, _ := ra.Encode(CodecFlate)
-	eb, _ := rb.Encode(CodecFlate)
+	ea, _ := ra.Encode()
+	eb, _ := rb.Encode()
 	if !bytes.Equal(ea, eb) {
 		t.Fatal("containers differ across hosts with different wall times")
 	}
@@ -112,7 +117,7 @@ func TestRecordDeterministicBytes(t *testing.T) {
 // only — the same before and after the lazy fields materialise.
 func TestRecordMemSize(t *testing.T) {
 	rec := testRecord(t)
-	enc, err := rec.Encode(CodecFlate)
+	enc, err := rec.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +145,7 @@ func TestRecordMemSize(t *testing.T) {
 // TestRecordLazyDecode: decoding a container does NOT unmarshal the body;
 // the Result materialises on first use and is then shared.
 func TestRecordLazyDecode(t *testing.T) {
-	enc, err := testRecord(t).Encode(CodecFlate)
+	enc, err := testRecord(t).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +170,7 @@ func TestRecordLazyDecode(t *testing.T) {
 // every mutation must fail DecodeRecord — or, for body tampering caught
 // by the checksum, fail before any JSON reaches a consumer.
 func TestRecordCorruptionRejected(t *testing.T) {
-	enc, err := testRecord(t).Encode(CodecFlate)
+	enc, err := testRecord(t).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +183,6 @@ func TestRecordCorruptionRejected(t *testing.T) {
 	}
 	mutate("bad magic", func(b []byte) []byte { b[0] = 'X'; return b })
 	mutate("future version", func(b []byte) []byte { b[4] = recordVersion + 1; return b })
-	mutate("unknown codec", func(b []byte) []byte { b[5] = 7; return b })
 	mutate("flipped body byte", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b })
 	mutate("flipped checksum byte", func(b []byte) []byte { b[20] ^= 0x01; return b })
 	mutate("truncated body", func(b []byte) []byte { return b[:len(b)-3] })
@@ -188,16 +192,20 @@ func TestRecordCorruptionRejected(t *testing.T) {
 		binary.LittleEndian.PutUint16(b[8:], maxRecordField+1)
 		return b
 	})
+	mutate("impossible raw length", func(b []byte) []byte {
+		binary.LittleEndian.PutUint32(b[12:], maxRecordBody) // more than the body can inflate to
+		return b
+	})
 	mutate("body length past buffer", func(b []byte) []byte {
 		binary.LittleEndian.PutUint32(b[16:], uint32(len(b))) // > actual remainder
 		return b
 	})
 
-	// A zstd container: identifiable, refused with the gate error.
-	z := append([]byte(nil), enc...)
-	z[5] = byte(CodecZstd)
-	if _, err := DecodeRecord(z); !errors.Is(err, ErrCodecUnavailable) {
-		t.Fatalf("zstd container error = %v, want ErrCodecUnavailable", err)
+	// Flate is the one codec: every other codec byte is refused.
+	for c := 0; c < 256; c++ {
+		if c != recordCodecFlate {
+			mutate(fmt.Sprintf("codec byte %d", c), func(b []byte) []byte { b[5] = byte(c); return b })
+		}
 	}
 
 	// Inflated-body mismatch: a body that checksums fine but inflates to
@@ -211,26 +219,56 @@ func TestRecordCorruptionRejected(t *testing.T) {
 	if _, err := rec.JSON(); err == nil {
 		t.Fatal("forged rawLen not caught at inflate time")
 	}
+
+	// Digest mismatch: the header's digest field is outside the body
+	// checksum, so an altered digest decodes — but never yields a result.
+	forged = append([]byte(nil), enc...)
+	forged[recordHdrLen+len(fakeKey(1))] ^= 0x01
+	rec, err = DecodeRecord(forged)
+	if err != nil {
+		t.Fatalf("digest-field forge rejected too early: %v", err)
+	}
+	if _, err := rec.Result(); !errors.Is(err, errDigestMismatch) {
+		t.Fatalf("forged digest: Result error = %v, want errDigestMismatch", err)
+	}
 }
 
-// TestRecordEncodeZstdGated: encoding with the reserved codec is refused
-// by Encode and by the configuration-time knob parser.
-func TestRecordEncodeZstdGated(t *testing.T) {
-	if _, err := testRecord(t).Encode(CodecZstd); !errors.Is(err, ErrCodecUnavailable) {
-		t.Fatalf("Encode(CodecZstd) error = %v, want ErrCodecUnavailable", err)
+// FuzzDecodeRecord throws arbitrary bytes at the container decoder. It
+// must never panic, and a container it accepts either fails to yield a
+// result or yields one that reproduces the digest in its header.
+func FuzzDecodeRecord(f *testing.F) {
+	rec, err := NewRecord(fakeKey(1), richResult())
+	if err != nil {
+		f.Fatal(err)
 	}
-	if _, err := ParseCodec("zstd"); !errors.Is(err, ErrCodecUnavailable) {
-		t.Fatalf("ParseCodec(zstd) error = %v, want ErrCodecUnavailable", err)
+	enc, err := rec.Encode()
+	if err != nil {
+		f.Fatal(err)
 	}
-	if _, err := ParseCodec("lzma"); err == nil {
-		t.Fatal("unknown codec name accepted")
+	raw, err := rec.JSON()
+	if err != nil {
+		f.Fatal(err)
 	}
-	for name, want := range map[string]Codec{"": CodecFlate, "flate": CodecFlate, "none": CodecRaw, "raw": CodecRaw} {
-		got, err := ParseCodec(name)
-		if err != nil || got != want {
-			t.Fatalf("ParseCodec(%q) = %v, %v; want %v", name, got, err, want)
+	f.Add(enc)
+	f.Add(enc[:len(enc)-5])
+	codec := append([]byte(nil), enc...)
+	codec[5] = 0
+	f.Add(codec)
+	f.Add(raw)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, err := DecodeRecord(data)
+		if err != nil {
+			return // refused input: only panics are failures
 		}
-	}
+		res, err := rec.Result()
+		if err != nil {
+			return
+		}
+		if got := ResultDigest(res); got != rec.Digest() {
+			t.Fatalf("decoded result digest %s, header digest %s", got, rec.Digest())
+		}
+	})
 }
 
 // TestRecordFlateShrinksLedgerHeavyResults pins the headline compression
@@ -259,7 +297,7 @@ func TestRecordFlateShrinksLedgerHeavyResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flated, err := rec.Encode(CodecFlate)
+	flated, err := rec.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,24 +306,5 @@ func TestRecordFlateShrinksLedgerHeavyResults(t *testing.T) {
 	}
 	if ratio := float64(rec.RawLen()) / float64(len(flated)); ratio < 2 {
 		t.Fatalf("flate ratio %.2fx on a ledger-heavy result, want ≥ 2x", ratio)
-	}
-}
-
-// TestRecordFromJSONRejectsGarbage: the trust-boundary constructor
-// decodes eagerly and refuses non-result bodies.
-func TestRecordFromJSONRejectsGarbage(t *testing.T) {
-	if _, err := RecordFromJSON("k", []byte("}{ nope")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := RecordFromJSON("k", []byte(strings.Repeat("[", 4))); err == nil {
-		t.Fatal("non-object accepted")
-	}
-	rec, err := RecordFromJSON("k", []byte(`{"EnergyJ":3}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := rec.Result()
-	if err != nil || r.EnergyJ != 3 {
-		t.Fatalf("legacy JSON round trip: %+v, %v", r, err)
 	}
 }

@@ -38,6 +38,17 @@ func newRemote(t *testing.T, opts engine.RemoteOptions) *engine.Remote {
 	return r
 }
 
+// containerOf encodes a result as the record container a blob server
+// stores and serves under key.
+func containerOf(t *testing.T, key string, r *soc.Result) []byte {
+	t.Helper()
+	data, err := mustRecord(t, key, r).Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	return data
+}
+
 // computeResult runs one simulation and returns its fingerprint and result.
 func computeResult(t *testing.T, seed int64) (string, *soc.Result) {
 	t.Helper()
@@ -342,10 +353,7 @@ func TestRemoteBreakerTrips(t *testing.T) {
 
 func TestRemoteRetriesTransientFailures(t *testing.T) {
 	key, want := computeResult(t, 3)
-	blob, err := json.Marshal(want)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := containerOf(t, key, want)
 	var requests atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if requests.Add(1) <= 2 {
@@ -485,84 +493,87 @@ func TestSingleflightCollapsesRemoteProbe(t *testing.T) {
 	}
 }
 
-// TestRemoteWireFormatNegotiation pins the mixed-version interop matrix:
-// a current client and server speak the binary record container; a legacy
-// JSON body (old server) and a JSON GET/PUT (old client) both still work.
-func TestRemoteWireFormatNegotiation(t *testing.T) {
-	ts, _, store := blobServerForTest(t)
+// TestRemoteWireFormatIsContainer pins the one wire format: the client
+// PUTs a record container, a GET returns the stored container whatever
+// the request's Accept header says, a JSON body is refused with 422, and
+// a server answering with JSON is a miss, never a hit.
+func TestRemoteWireFormatIsContainer(t *testing.T) {
+	ts, blob, store := blobServerForTest(t)
 	key, want := computeResult(t, 8)
 
-	// New client → new server: PUT ships a record container, GET asks for
-	// one back and the server honours the Accept header.
 	remote := newRemote(t, engine.RemoteOptions{BaseURL: ts.URL})
 	if err := remote.Put(key, mustRecord(t, key, want)); err != nil {
 		t.Fatalf("record Put: %v", err)
 	}
 
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/blob/"+key, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept", engine.RecordContentType)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, engine.RecordContentType) {
-		t.Fatalf("record-accepting GET got Content-Type %q", ct)
-	}
-	rec, err := engine.DecodeRecord(body)
-	if err != nil {
-		t.Fatalf("served container does not decode: %v", err)
-	}
-	if rec.Key() != key || rec.Digest() != engine.ResultDigest(want) {
-		t.Fatal("served container carries the wrong identity")
-	}
-
-	// Old client → new server: a bare JSON GET still returns JSON.
-	resp, err = http.Get(ts.URL + "/v1/blob/" + key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var viaJSON soc.Result
-	err = json.NewDecoder(resp.Body).Decode(&viaJSON)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatalf("JSON GET fallback: %v", err)
-	}
-	if engine.ResultDigest(&viaJSON) != engine.ResultDigest(want) {
-		t.Fatal("JSON fallback served a different result")
+	for _, accept := range []string{"", "application/json", engine.RecordContentType} {
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/blob/"+key, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != engine.RecordContentType {
+			t.Fatalf("Accept %q: GET got Content-Type %q", accept, ct)
+		}
+		rec, err := engine.DecodeRecord(body)
+		if err != nil {
+			t.Fatalf("Accept %q: served container does not decode: %v", accept, err)
+		}
+		if rec.Key() != key || rec.Digest() != engine.ResultDigest(want) {
+			t.Fatalf("Accept %q: served container carries the wrong identity", accept)
+		}
 	}
 
-	// Old client → new server: a bare JSON PUT (no record container, no
-	// record content type) is accepted and digest-verified.
+	// A JSON PUT — with or without a JSON content type — is refused.
 	otherKey, otherRes := computeResult(t, 9)
-	legacyBody, err := json.Marshal(otherRes)
+	jsonBody, err := json.Marshal(otherRes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	putReq, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/blob/"+otherKey, bytes.NewReader(legacyBody))
-	if err != nil {
-		t.Fatal(err)
+	for _, ctype := range []string{"application/json", engine.RecordContentType} {
+		req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/blob/"+otherKey, bytes.NewReader(jsonBody))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", ctype)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("JSON PUT as %q: status %d, want 422", ctype, resp.StatusCode)
+		}
 	}
-	putReq.Header.Set("Content-Type", "application/json")
-	resp, err = http.DefaultClient.Do(putReq)
-	if err != nil {
-		t.Fatal(err)
+	if _, ok := store.Get(otherKey); ok {
+		t.Fatal("a JSON PUT reached the store")
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
-		t.Fatalf("legacy JSON PUT refused: status %d", resp.StatusCode)
-	}
-	if got, ok := store.Get(otherKey); !ok || got.Digest() != engine.ResultDigest(otherRes) {
-		t.Fatal("legacy JSON PUT did not land in the store intact")
+	if got := blob.Stats().PutRejects; got != 2 {
+		t.Fatalf("PutRejects = %d, want 2", got)
 	}
 
-	// New client → old server is covered by TestRemoteRetriesTransientFailures
-	// (raw JSON body, no record content type) — both halves of the matrix hold.
+	// A server that answers with JSON is a miss for the client.
+	jsonServer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(jsonBody)
+	}))
+	defer jsonServer.Close()
+	old := newRemote(t, engine.RemoteOptions{BaseURL: jsonServer.URL, Retries: -1})
+	if _, ok := old.Get(otherKey); ok {
+		t.Fatal("a JSON body was served as a hit")
+	}
+	if st := old.TierStats()[0]; st.Errors != 1 || st.Misses != 1 {
+		t.Fatalf("JSON body not booked as error+miss: %+v", st)
+	}
 }

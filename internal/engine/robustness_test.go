@@ -2,7 +2,6 @@ package engine_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -94,10 +93,7 @@ func TestDiskSyncRoundtrip(t *testing.T) {
 // returned — the end-to-end anti-poisoning check.
 func TestRemoteRejectsDigestMismatch(t *testing.T) {
 	key, res := computeResult(t, 5)
-	blob, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := containerOf(t, key, res)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Result-Digest", strings.Repeat("00", 32))
 		w.Write(blob)
@@ -136,12 +132,9 @@ func TestBlobServerDigests(t *testing.T) {
 		t.Fatalf("GET digest header = %q, want the entry's digest", got)
 	}
 
-	// A corrupted upload: valid JSON, wrong claimed digest.
-	body, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A corrupted upload: a valid container, wrong claimed digest.
 	other := strings.Repeat("ef", 16)
+	body := containerOf(t, other, res)
 	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/blob/"+other, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

@@ -128,14 +128,24 @@ func DefaultProfile() *Profile {
 	}
 }
 
-// Validate checks internal consistency (monotonic frequencies and voltages,
-// positive coefficients, sleep states ordered by decreasing power).
+// Validate checks internal consistency (positive, monotonic frequencies
+// and voltages, positive coefficients, sleep states ordered by decreasing
+// power).
 func (p *Profile) Validate() error {
 	if p.CeffF <= 0 || p.CyclesPerInstr <= 0 {
 		return fmt.Errorf("power: non-positive CeffF or CyclesPerInstr")
 	}
 	if p.IdleFactor < 0 || p.IdleFactor > 1 {
 		return fmt.Errorf("power: IdleFactor %v outside [0,1]", p.IdleFactor)
+	}
+	for i, op := range p.On {
+		// Negated comparisons so NaN is refused too.
+		if !(op.FreqHz > 0) {
+			return fmt.Errorf("power: ON%d FreqHz %v not positive", i+1, op.FreqHz)
+		}
+		if !(op.Vdd > 0) {
+			return fmt.Errorf("power: ON%d Vdd %v not positive", i+1, op.Vdd)
+		}
 	}
 	for i := 0; i < 3; i++ {
 		if p.On[i].FreqHz <= p.On[i+1].FreqHz {

@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -28,6 +29,31 @@ func TestValidateCatchesBadProfiles(t *testing.T) {
 		m(p)
 		if err := p.Validate(); err == nil {
 			t.Errorf("mutation %d not caught by Validate", i)
+		}
+	}
+}
+
+// TestValidateRequiresPositiveOperatingPoints: every ON point needs a
+// positive frequency and supply voltage — a zero ON4 clock keeps the
+// points strictly decreasing, yet would make every ON4 task wait for a
+// non-positive duration mid-run.
+func TestValidateRequiresPositiveOperatingPoints(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		mut   func(*Profile)
+		field string
+	}{
+		{"ON4 zero clock", func(p *Profile) { p.On[3].FreqHz = 0 }, "ON4 FreqHz"},
+		{"ON4 negative clock", func(p *Profile) { p.On[3].FreqHz = -1 }, "ON4 FreqHz"},
+		{"ON4 NaN clock", func(p *Profile) { p.On[3].FreqHz = math.NaN() }, "ON4 FreqHz"},
+		{"ON4 zero supply", func(p *Profile) { p.On[3].Vdd = 0 }, "ON4 Vdd"},
+		{"ON1 NaN supply", func(p *Profile) { p.On[0].Vdd = math.NaN() }, "ON1 Vdd"},
+	} {
+		p := DefaultProfile()
+		c.mut(p)
+		err := p.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: Validate = %v, want an error naming %s", c.name, err, c.field)
 		}
 	}
 }
@@ -138,6 +164,23 @@ func TestBreakEvenAtLeastTransitionLatency(t *testing.T) {
 			t.Fatalf("%s break-even %v below transition latency %v",
 				s.Name, tbe, s.EnterLatency+s.WakeLatency)
 		}
+	}
+}
+
+// TestBreakEvenNearEqualPower: with idle power a hair above the sleep
+// power, sleeping pays only after an astronomically long idle period —
+// far past the representable time range, so the break-even saturates to
+// sim.MaxTime instead of wrapping negative and clamping to the transition
+// latency (which would make sleeping look like it always pays).
+func TestBreakEvenNearEqualPower(t *testing.T) {
+	p := DefaultProfile()
+	s := p.Sleep[0]
+	tbe, ok := p.BreakEven(s.Power+1e-15, s)
+	if !ok {
+		t.Fatal("no break-even for idle power above the sleep power")
+	}
+	if tbe != sim.MaxTime {
+		t.Fatalf("break-even %v, want sim.MaxTime", tbe)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -280,6 +281,35 @@ func TestTimeString(t *testing.T) {
 	for _, c := range cases {
 		if got := c.t.String(); got != c.want {
 			t.Errorf("Time(%d).String() = %q, want %q", int64(c.t), got, c.want)
+		}
+	}
+}
+
+// TestFromSecondsBoundaries pins the conversion at its edges: rounding
+// is symmetric, out-of-range spans saturate to ±MaxTime instead of
+// wrapping, and NaN converts to 0.
+func TestFromSecondsBoundaries(t *testing.T) {
+	cases := []struct {
+		name string
+		s    float64
+		want Time
+	}{
+		{"zero", 0, 0},
+		{"negative zero", math.Copysign(0, -1), 0},
+		{"1ps", 1e-12, Ps},
+		{"-1ps", -1e-12, -Ps},
+		{"half ps rounds up", 0.5e-12, Ps},
+		{"largest in range", 9.223372036854774e+06, 9223372036854773760},
+		{"MaxTime", MaxTime.Seconds(), MaxTime},
+		{"1e8 s", 1e8, MaxTime},
+		{"-1e8 s", -1e8, -MaxTime},
+		{"+Inf", math.Inf(1), MaxTime},
+		{"-Inf", math.Inf(-1), -MaxTime},
+		{"NaN", math.NaN(), 0},
+	}
+	for _, c := range cases {
+		if got := FromSeconds(c.s); got != c.want {
+			t.Errorf("%s: FromSeconds(%g) = %d, want %d", c.name, c.s, int64(got), int64(c.want))
 		}
 	}
 }

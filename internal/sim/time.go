@@ -68,5 +68,20 @@ func (t Time) String() string {
 func (t Time) Seconds() float64 { return float64(t) / float64(Sec) }
 
 // FromSeconds converts floating-point seconds to a Time, rounding to the
-// nearest picosecond.
-func FromSeconds(s float64) Time { return Time(s*float64(Sec) + 0.5) }
+// nearest picosecond (halves away from zero). Spans beyond the
+// representable range — ±Inf included — saturate to ±MaxTime instead of
+// wrapping, and NaN converts to 0.
+func FromSeconds(s float64) Time {
+	ps := s * float64(Sec)
+	switch {
+	case ps != ps: // NaN
+		return 0
+	case ps >= float64(MaxTime):
+		return MaxTime
+	case ps <= -float64(MaxTime):
+		return -MaxTime
+	case ps < 0:
+		return Time(ps - 0.5)
+	}
+	return Time(ps + 0.5)
+}

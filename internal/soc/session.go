@@ -3,6 +3,7 @@ package soc
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"time"
 
@@ -17,12 +18,11 @@ import (
 )
 
 // session is one fully assembled SoC simulation that can be advanced to
-// successive cut points. RunWith builds one, runs it to the horizon and
-// reads the result off the live state; RunForked builds one and advances
-// it through several members' horizons/stop conditions, snapshotting a
-// Result at each cut without perturbing the live trajectory — the sweep
-// warm-start: members share the simulated prefix instead of each
-// re-running it from t=0.
+// successive cut points. RunWith builds one and runs it to the horizon;
+// RunForked builds one and advances it through several members'
+// horizons/stop conditions — the sweep warm-start: members share the
+// simulated prefix instead of each re-running it from t=0. Both read
+// their Results through snapshotResult.
 type session struct {
 	cfg Config // normalized; the accountant and observers point into it
 	k   *sim.Kernel
@@ -201,15 +201,15 @@ func (s *session) allFinished() bool {
 	return true
 }
 
-// snapshotResult computes the Result a solo run of this session's config
-// would have returned if it ended at the current pause point (the kernel
-// must not be mid-Run), without mutating any live state: the final
-// partial sample runs on copies — cloned battery model, peeked energy
+// snapshotResult assembles the Result a solo run of this session's config
+// would return if it ended at the current pause point (the kernel must not
+// be mid-Run), without mutating the simulated state: a final partial
+// sample still due runs on copies — cloned battery model, peeked energy
 // meters, peek-stepped thermal plant, a value copy of the temperature
-// accumulator — and the ledger and LEM stat maps are deep-copied so later
-// simulation cannot leak into the snapshot. The arithmetic mirrors
-// accountant.sample + RunWith's epilogue term for term, which the
-// fork-equivalence tests pin bit-identically against solo runs.
+// accumulator. RunWith takes that sample on the live state first, so for
+// a solo run there is none left to take. The Result shares the live
+// ledger and LEM stat maps; RunForked, whose session keeps running past
+// each cut, detaches them (see detach).
 func (s *session) snapshotResult(stopReason string) *Result {
 	k, a := s.k, s.acct
 	now := k.Now()
@@ -248,7 +248,7 @@ func (s *session) snapshotResult(stopReason string) *Result {
 
 	res := &Result{
 		EnergyByIP: make(map[string]float64, len(s.meters)),
-		Ledger:     s.ledger.Clone(),
+		Ledger:     s.ledger,
 		Duration:   now,
 		AmbientC:   s.plant.ambient,
 		BusEnergyJ: busE,
@@ -275,10 +275,7 @@ func (s *session) snapshotResult(stopReason string) *Result {
 	res.FinalBatteryStatus = s.pack.Status()
 	res.LEMStats = make(map[string]lem.Stats, len(s.lems))
 	for name, l := range s.lems {
-		st := l.Stats()
-		st.OnDecisions = copyIntMap(st.OnDecisions)
-		st.SleepEntries = copyIntMap(st.SleepEntries)
-		res.LEMStats[name] = st
+		res.LEMStats[name] = l.Stats()
 	}
 	if s.g != nil {
 		res.GEMEvaluations = s.g.Evaluations()
@@ -290,12 +287,16 @@ func (s *session) snapshotResult(stopReason string) *Result {
 	return res
 }
 
-func copyIntMap(m map[string]int) map[string]int {
-	cp := make(map[string]int, len(m))
-	for k, v := range m {
-		cp[k] = v
+// detach deep-copies the ledger and the LEM stat maps a snapshot shares
+// with the live session, so simulation past a fork cut cannot leak into it.
+func detach(res *Result) *Result {
+	res.Ledger = res.Ledger.Clone()
+	for name, st := range res.LEMStats {
+		st.OnDecisions = maps.Clone(st.OnDecisions)
+		st.SleepEntries = maps.Clone(st.SleepEntries)
+		res.LEMStats[name] = st
 	}
-	return cp
+	return res
 }
 
 // ForkMember describes one member of a forked run group: how far (or
@@ -381,7 +382,7 @@ func RunForked(ctx context.Context, cfg Config, members []ForkMember) ([]*Result
 
 	results := make([]*Result, len(members))
 	finish := func(p *pending, reason string) {
-		results[p.idx] = s.snapshotResult(reason)
+		results[p.idx] = detach(s.snapshotResult(reason))
 		if p.watch != nil {
 			p.watch.fired = "snapshotted" // stop evaluating for this member
 		}

@@ -8,7 +8,6 @@ package soc
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"godpm/internal/acpi"
 	"godpm/internal/battery"
@@ -456,57 +455,16 @@ func RunWith(ctx context.Context, cfg Config, opts RunOptions) (*Result, error) 
 	if err := s.k.Run(cfg.Horizon); err != nil {
 		return nil, err
 	}
-	wall := time.Since(s.wallStart).Seconds()
 	if s.acct.canceled {
 		return nil, ctx.Err()
 	}
 
-	// Final partial sample so energy/temperature cover the full duration.
-	// Solo runs end here, so sampling on the live state is fine; forked
-	// runs (RunForked) instead snapshot the same arithmetic onto copies at
-	// every cut point, because the session keeps running past each cut.
-	acct, k := s.acct, s.k
-	acct.sample()
-
-	res := &Result{
-		EnergyByIP: make(map[string]float64, len(s.meters)),
-		Ledger:     s.ledger,
-		Duration:   k.Now(),
-		AmbientC:   s.plant.ambient,
-		BusEnergyJ: s.busEnergyJ,
-		StopReason: acct.stopReason,
-	}
-	for i, m := range s.meters {
-		e := m.EnergyJ()
-		res.EnergyByIP[cfg.IPs[i].Name] = e
-		res.EnergyJ += e
-	}
-	res.EnergyJ += s.busEnergyJ
-	res.AvgTempC = acct.temp.MeanUntil(k.Now())
-	res.PeakTempC = acct.temp.Max()
-	res.Completed = true
-	for _, b := range s.ips {
-		res.TasksDone += b.TasksDone()
-		if !b.Finished() {
-			res.Completed = false
-		}
-	}
-	res.Cycles = res.Duration.Seconds() * cfg.BaseClockHz
-	res.WallSeconds = wall
-	res.Deltas = k.DeltaCount()
-	res.FinalSoC = s.pack.SoC()
-	res.FinalBatteryStatus = s.pack.Status()
-	res.LEMStats = make(map[string]lem.Stats, len(s.lems))
-	for name, l := range s.lems {
-		res.LEMStats[name] = l.Stats()
-	}
-	if s.g != nil {
-		res.GEMEvaluations = s.g.Evaluations()
-		res.FanSwitches = s.g.FanSwitches()
-	}
-	if s.theBus != nil {
-		res.BusOccupancy = s.theBus.Occupancy()
-	}
+	// The final partial sample runs on the live state: a solo run ends
+	// here, and a bus-occupancy GEM must see its last poll. The snapshot
+	// then has no sample left to take on copies, and the Result shares
+	// the live ledger and LEM stats the finished run no longer touches.
+	s.acct.sample()
+	res := s.snapshotResult(s.acct.stopReason)
 	if s.disp != nil {
 		s.disp.runEnd(res)
 		if err := s.disp.err(); err != nil {
