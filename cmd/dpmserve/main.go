@@ -263,17 +263,15 @@ type serverOptions struct {
 // requests cheap: they collapse to one simulation.
 //
 // Two bounds stack: inflight admits at most maxInflight requests (the
-// rest get 429), and gate — a weighted semaphore of -workers units —
-// bounds how much simulation the admitted requests run at once. A
-// simulate request weighs one unit; a tournament request weighs as many
-// units as the engine pool it fans out over, so simulation concurrency
-// never exceeds -workers no matter how requests mix. Admitted requests
-// queue FIFO (bounded by maxInflight) for their units.
+// rest get 429), and the engine's -workers simulation slots bound how
+// much simulation the admitted requests run at once. A request takes a
+// slot only when it must simulate, after its cache probe, so hits and
+// singleflight waiters never wait for one, and simulation concurrency
+// never exceeds -workers however simulate and tournament requests mix.
 type server struct {
 	eng         *godpm.Engine
 	tiered      *godpm.TieredCache // non-nil when a remote tier is wired in
 	inflight    chan struct{}
-	gate        *workGate
 	maxInflight int
 	seq         atomic.Int64
 	draining    atomic.Bool
@@ -393,7 +391,6 @@ func newServer(o serverOptions) (*server, error) {
 		eng:         eng,
 		tiered:      tiered,
 		inflight:    make(chan struct{}, maxInflight),
-		gate:        newWorkGate(eng.Workers()),
 		maxInflight: maxInflight,
 		start:       time.Now(),
 		latSim:      &godpm.Histogram{},
@@ -453,84 +450,6 @@ func (s *server) observe(t0 time.Time, rec godpm.JournalRecord) {
 			log.Printf("journal: %v", err)
 		}
 	}
-}
-
-// workGate is a weighted semaphore with FIFO handoff: wide acquisitions
-// (tournaments needing the whole engine pool) are not starved by a
-// stream of 1-unit simulate requests, and the head waiter is always
-// eventually satisfiable because every grant is released.
-type workGate struct {
-	mu    sync.Mutex
-	avail int
-	queue []*gateWaiter
-}
-
-type gateWaiter struct {
-	need  int
-	ready chan struct{}
-}
-
-func newWorkGate(capacity int) *workGate { return &workGate{avail: capacity} }
-
-// acquire claims need units, waiting FIFO; it reports false (claiming
-// nothing) if ctx dies first.
-func (g *workGate) acquire(ctx context.Context, need int) bool {
-	g.mu.Lock()
-	if len(g.queue) == 0 && g.avail >= need {
-		g.avail -= need
-		g.mu.Unlock()
-		return true
-	}
-	w := &gateWaiter{need: need, ready: make(chan struct{})}
-	g.queue = append(g.queue, w)
-	g.mu.Unlock()
-	select {
-	case <-w.ready:
-		return true
-	case <-ctx.Done():
-		g.mu.Lock()
-		for i, q := range g.queue {
-			if q == w {
-				g.queue = append(g.queue[:i], g.queue[i+1:]...)
-				// A wide waiter leaving the head can unblock narrower
-				// waiters behind it right now — re-run the grant loop.
-				g.grantLocked()
-				g.mu.Unlock()
-				return false
-			}
-		}
-		g.mu.Unlock()
-		// Lost the race: the grant landed while ctx was dying. Give the
-		// units back.
-		<-w.ready
-		g.release(need)
-		return false
-	}
-}
-
-func (g *workGate) release(units int) {
-	g.mu.Lock()
-	g.avail += units
-	g.grantLocked()
-	g.mu.Unlock()
-}
-
-// grantLocked hands available units to queued waiters in FIFO order;
-// callers hold g.mu.
-func (g *workGate) grantLocked() {
-	for len(g.queue) > 0 && g.queue[0].need <= g.avail {
-		w := g.queue[0]
-		g.queue = g.queue[1:]
-		g.avail -= w.need
-		close(w.ready)
-	}
-}
-
-// busy returns the units currently claimed.
-func (g *workGate) busy(capacity int) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return capacity - g.avail
 }
 
 func (s *server) handler() http.Handler {
@@ -699,13 +618,6 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release()
-	if !s.gate.acquire(r.Context(), 1) {
-		http.Error(w, "client went away", http.StatusRequestTimeout)
-		rec.Outcome, rec.Status = godpm.JournalOutcomeCanceled, http.StatusRequestTimeout
-		s.observe(t0, rec)
-		return
-	}
-	defer s.gate.release(1)
 
 	var plan godpm.Plan
 	plan.Add(fmt.Sprintf("%s#%d", id, s.seq.Add(1)), cfg)
@@ -860,22 +772,6 @@ func (s *server) handleTournament(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release()
-	// A tournament fans out over the engine's whole worker pool, so it
-	// weighs as many gate units as the pool goroutines it will spawn.
-	weight := len(tour.Policies) * len(tour.Scenarios) * len(tour.Seeds)
-	if weight > s.eng.Workers() {
-		weight = s.eng.Workers()
-	}
-	if weight < 1 {
-		weight = 1
-	}
-	if !s.gate.acquire(r.Context(), weight) {
-		http.Error(w, "client went away", http.StatusRequestTimeout)
-		rec.Outcome, rec.Status = godpm.JournalOutcomeCanceled, http.StatusRequestTimeout
-		s.observe(t0, rec)
-		return
-	}
-	defer s.gate.release(weight)
 
 	// Publish live progress (cells done / total, provisional leader) to
 	// /statsz for the duration of the run; the end hook reclaims this
@@ -1082,7 +978,7 @@ func (s *server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		EngineStats:      st,
 		Inflight:         len(s.inflight),
 		MaxInflight:      s.maxInflight,
-		BusyWorkers:      s.gate.busy(s.eng.Workers()),
+		BusyWorkers:      s.eng.Busy(),
 		Workers:          s.eng.Workers(),
 		UptimeS:          time.Since(s.start).Seconds(),
 		TournamentAborts: s.tourAborts.Load(),

@@ -166,70 +166,11 @@ func TestSaturationReturns429(t *testing.T) {
 	t.Fatal("never observed a 429 while saturated")
 }
 
-// TestWorkGateCancelUnblocksQueue pins the gate's cancellation path: a
-// wide waiter abandoning the head of the queue must immediately unblock
-// a satisfiable narrower waiter behind it, without waiting for the next
-// release.
-func TestWorkGateCancelUnblocksQueue(t *testing.T) {
-	g := newWorkGate(2)
-	if !g.acquire(context.Background(), 1) {
-		t.Fatal("initial acquire failed")
-	}
-	queued := func(n int) bool {
-		stop := time.Now().Add(2 * time.Second)
-		for time.Now().Before(stop) {
-			g.mu.Lock()
-			l := len(g.queue)
-			g.mu.Unlock()
-			if l == n {
-				return true
-			}
-			time.Sleep(time.Millisecond)
-		}
-		return false
-	}
-	// Wide waiter (needs 2 > avail 1) parks at the head...
-	wideCtx, cancelWide := context.WithCancel(context.Background())
-	wideDone := make(chan bool, 1)
-	go func() { wideDone <- g.acquire(wideCtx, 2) }()
-	if !queued(1) {
-		t.Fatal("wide waiter never queued")
-	}
-	// ...then a narrow waiter (needs 1 == avail) queues FIFO behind it.
-	narrowDone := make(chan bool, 1)
-	go func() { narrowDone <- g.acquire(context.Background(), 1) }()
-	if !queued(2) {
-		t.Fatal("narrow waiter never queued (or jumped the FIFO queue)")
-	}
-	select {
-	case <-narrowDone:
-		t.Fatal("narrow waiter granted while queued behind the head")
-	default:
-	}
-
-	cancelWide()
-	if got := <-wideDone; got {
-		t.Fatal("canceled waiter claims success")
-	}
-	select {
-	case got := <-narrowDone:
-		if !got {
-			t.Fatal("narrow waiter failed")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("narrow waiter still blocked after the head abandoned the queue")
-	}
-	g.release(1)
-	g.release(1)
-	if b := g.busy(2); b != 0 {
-		t.Fatalf("gate leaks %d units", b)
-	}
-}
-
-// TestWorkerSlotsBoundSimulationConcurrency pins the execution bound:
-// with one worker, many admitted concurrent requests never run more
-// than one engine invocation at a time (busy_workers ≤ workers), while
-// admission (inflight) rises above it.
+// TestWorkerSlotsBoundSimulationConcurrency pins the execution bound
+// through the engine's slot gauge: with one worker, many admitted
+// concurrent misses never run more than one simulation at a time
+// (busy_workers ≤ workers), the gauge does rise to the bound while they
+// run, and admission (inflight) rises above it.
 func TestWorkerSlotsBoundSimulationConcurrency(t *testing.T) {
 	_, ts := newTestServer(t, serverOptions{Workers: 1, MaxInflight: 8})
 	const clients = 4
@@ -244,12 +185,15 @@ func TestWorkerSlotsBoundSimulationConcurrency(t *testing.T) {
 			}
 		}(i)
 	}
-	sawQueued := false
-	deadline := time.Now().Add(5 * time.Second)
+	sawBusy, sawQueued := false, false
+	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		st := getStatsz(t, ts.URL)
 		if st.BusyWorkers > 1 {
 			t.Fatalf("busy_workers = %d with 1 worker", st.BusyWorkers)
+		}
+		if st.BusyWorkers == 1 {
+			sawBusy = true
 		}
 		if st.Inflight > st.BusyWorkers {
 			sawQueued = true
@@ -260,12 +204,60 @@ func TestWorkerSlotsBoundSimulationConcurrency(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	wg.Wait()
+	if !sawBusy {
+		t.Fatal("busy_workers never reported the running simulation")
+	}
 	if !sawQueued {
 		t.Log("note: never observed admitted requests queued for a work slot (timing)")
 	}
 	st := getStatsz(t, ts.URL)
 	if st.Runs != clients {
 		t.Fatalf("runs = %d, want %d distinct simulations", st.Runs, clients)
+	}
+	if st.BusyWorkers != 0 {
+		t.Fatalf("busy_workers = %d after every request finished", st.BusyWorkers)
+	}
+}
+
+// TestHitDoesNotWaitForSlot pins that a request takes a simulation slot
+// only when it must simulate: with one worker held by a slow miss, a hit
+// on a warmed key is answered while the miss is still running.
+func TestHitDoesNotWaitForSlot(t *testing.T) {
+	_, ts := newTestServer(t, serverOptions{Workers: 1, MaxInflight: 8})
+	const hitBody = `{"scenario":"A1","tasks":10,"seed":4}`
+	if resp, _ := postJSON(t, ts.URL+"/v1/simulate", hitBody); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm-up: status %d", resp.StatusCode)
+	}
+	missDone := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/simulate", "application/json", strings.NewReader(slowBody(300)))
+		if err != nil {
+			t.Error(err)
+			missDone <- 0
+			return
+		}
+		resp.Body.Close()
+		missDone <- resp.StatusCode
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for getStatsz(t, ts.URL).BusyWorkers == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the slow miss never took the slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	resp, data := postJSON(t, ts.URL+"/v1/simulate", hitBody)
+	select {
+	case code := <-missDone:
+		t.Fatalf("the miss (status %d) finished before the hit was answered", code)
+	default:
+	}
+	var sr simulateResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(data, &sr) != nil || !sr.CacheHit {
+		t.Fatalf("hit: status %d, body %s", resp.StatusCode, data)
+	}
+	if code := <-missDone; code != http.StatusOK {
+		t.Fatalf("miss: status %d", code)
 	}
 }
 
@@ -408,6 +400,25 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET simulate = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestNegativeIntervalsRefused: an inline config with a negative sample
+// interval or horizon is refused with 422 when it is fingerprinted,
+// before any simulation starts (a negative interval used to panic in an
+// engine worker and take the whole process down), and the server goes on
+// serving.
+func TestNegativeIntervalsRefused(t *testing.T) {
+	_, ts := newTestServer(t, serverOptions{Workers: 1, MaxInflight: 2})
+	const inline = `{"config":{"IPs":[{"Gen":{"Kind":"closed","Closed":{"NumTasks":3,"MeanInstructions":1000}}}]%s}}`
+	for _, bad := range []string{`,"SampleInterval":-1`, `,"Horizon":-1000`} {
+		resp, body := postJSON(t, ts.URL+"/v1/simulate", fmt.Sprintf(inline, bad))
+		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "negative") {
+			t.Fatalf("%s: status %d (%s), want 422", bad, resp.StatusCode, strings.TrimSpace(string(body)))
+		}
+		if resp, body := postJSON(t, ts.URL+"/v1/simulate", fmt.Sprintf(inline, "")); resp.StatusCode != http.StatusOK {
+			t.Fatalf("after %s: status %d (%s), want 200", bad, resp.StatusCode, body)
+		}
 	}
 }
 

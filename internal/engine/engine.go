@@ -3,7 +3,9 @@
 // job on its own discrete-event kernel (soc.Run is single-goroutine and
 // deterministic, so parallelism across jobs is free), and aggregates the
 // results order-stably — the result slice is index-aligned with the plan
-// no matter which worker finished first.
+// no matter which worker finished first. Simulations take one of the
+// engine's Workers slots, shared by every concurrent call, so the bound
+// holds for the whole engine rather than per plan.
 //
 // Every job is content-addressed: Fingerprint hashes the normalized
 // soc.Config, and a Cache (a sharded bounded LRU in memory, or layered
@@ -31,7 +33,13 @@ import (
 
 // Options configures an Engine.
 type Options struct {
-	// Workers bounds the worker pool; 0 means runtime.NumCPU().
+	// Workers is the number of simulation slots, shared by every Run and
+	// RunObserved call on the engine; 0 means runtime.NumCPU(). A job
+	// holds a slot only while its simulation (or its fork group's shared
+	// session) runs: cache hits and singleflight waiters never take one,
+	// so no mix of concurrent calls runs more than Workers simulations at
+	// once, and a hit never queues behind a miss. Each call also fans its
+	// own plan out over at most Workers goroutines.
 	Workers int
 	// Cache stores results by fingerprint; nil means a fresh in-memory
 	// cache (use NewDisk to persist across processes).
@@ -71,8 +79,10 @@ type JobResult struct {
 type Stats struct {
 	// Hits and Misses count cache lookups; Runs counts simulations
 	// actually executed (== Misses unless caching is disabled); Errors
-	// counts failed jobs. Jobs served by waiting on a concurrent
-	// identical simulation (singleflight) count as Hits.
+	// counts failed jobs. A miss is booked when its simulation takes a
+	// slot, so a job cancelled while it waits for one counts only as
+	// Canceled. Jobs served by waiting on a concurrent identical
+	// simulation (singleflight) count as Hits.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
 	Runs   int64 `json:"runs"`
@@ -114,6 +124,7 @@ type Stats struct {
 // the same plan observably cache-served.
 type Engine struct {
 	workers  int
+	slots    chan struct{} // one token per running simulation; cap workers
 	cache    Cache
 	flights  flightGroup
 	onStart  func(i int, job Job)
@@ -136,11 +147,36 @@ func New(opts Options) *Engine {
 	} else if c == nil {
 		c = NewLRU(LRUOptions{})
 	}
-	return &Engine{workers: w, cache: c, onStart: opts.OnStart, onResult: opts.OnResult}
+	return &Engine{workers: w, slots: make(chan struct{}, w), cache: c, onStart: opts.OnStart, onResult: opts.OnResult}
 }
 
-// Workers returns the pool bound.
+// Workers returns the number of simulation slots.
 func (e *Engine) Workers() int { return e.workers }
+
+// Busy returns the simulation slots currently held: the number of
+// simulations running on this engine right now, across all calls.
+func (e *Engine) Busy() int { return len(e.slots) }
+
+// runOnSlot waits for a simulation slot, then books the run (and
+// misses cache misses) and calls run while holding it, returning run's
+// error. The wait ends early, returning ctx.Err() and booking nothing,
+// when ctx dies first. Callers hold no other resource while they wait,
+// and run only simulates, so a slot is never held while waiting on
+// something else.
+func (e *Engine) runOnSlot(ctx context.Context, misses int64, run func() error) error {
+	select {
+	case e.slots <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	defer func() { <-e.slots }()
+	e.misses.Add(misses)
+	e.runs.Add(1)
+	t0 := time.Now()
+	err := run()
+	e.runLat.RecordDuration(time.Since(t0))
+	return err
+}
 
 // Stats returns a snapshot of the cumulative counters, including the
 // cache's occupancy and eviction counters when the cache reports them.
@@ -170,12 +206,14 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// simulate runs the job's simulation, recording its wall-clock cost in
-// the run-latency sketch.
-func (e *Engine) simulate(ctx context.Context, job Job) (*soc.Result, error) {
-	t0 := time.Now()
-	r, err := soc.RunWith(ctx, job.Config, job.Options)
-	e.runLat.RecordDuration(time.Since(t0))
+// simulate runs the job's simulation on a slot (see runOnSlot), booking
+// misses (0 or 1) with it. The slot is released before it returns, so
+// the caller builds and stores the record without holding one.
+func (e *Engine) simulate(ctx context.Context, job Job, misses int64) (r *soc.Result, err error) {
+	err = e.runOnSlot(ctx, misses, func() (err error) {
+		r, err = soc.RunWith(ctx, job.Config, job.Options)
+		return err
+	})
 	return r, err
 }
 
@@ -186,8 +224,9 @@ func (e *Engine) simulate(ctx context.Context, job Job) (*soc.Result, error) {
 // ended the run early — is returned alongside.
 //
 // Cancellation is sample-granular: in-flight simulations poll ctx at every
-// sample tick and abort with ctx.Err(); queued jobs are abandoned with
-// ctx.Err() without starting.
+// sample tick and abort with ctx.Err(); queued jobs, and jobs still
+// waiting for a simulation slot, are abandoned with ctx.Err() without
+// starting.
 //
 // Jobs whose configs differ only in Horizon (or stop conditions) are
 // batched into fork groups and run as one shared soc.RunForked session —
@@ -349,8 +388,7 @@ func (e *Engine) runJob(ctx context.Context, job Job) JobResult {
 	// dedup: NoCache benchmarks want cold runs, and volatile jobs are
 	// not interchangeable.
 	if e.cache == nil || job.Options.Volatile() {
-		e.runs.Add(1)
-		jr.Result, jr.Err = e.simulate(ctx, job)
+		jr.Result, jr.Err = e.simulate(ctx, job, 0)
 		if jr.Err != nil {
 			e.countFailure(jr.Err)
 		}
@@ -406,9 +444,9 @@ func (e *Engine) runJob(ctx context.Context, job Job) JobResult {
 				return jr
 			}
 		}
-		e.misses.Add(1)
-		e.runs.Add(1)
-		r, runErr := e.simulate(ctx, job)
+		// A leader whose context dies while it waits for a slot finishes
+		// the flight with the cancellation, so its followers retake it.
+		r, runErr := e.simulate(ctx, job, 1)
 		var rec *Record
 		if runErr == nil {
 			// Build the record (the one marshal this result will ever pay)

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"time"
 
 	"godpm/internal/soc"
 )
@@ -160,11 +159,14 @@ func (e *Engine) runGroup(ctx context.Context, jobs []Job, indices []int, out []
 				StopWhen: jobs[m.i].Options.StopWhen,
 			}
 		}
-		e.misses.Add(int64(len(live)))
-		e.runs.Add(1)
-		t0 := time.Now()
-		rs, err := soc.RunForked(ctx, jobs[live[0].i].Config, members)
-		e.runLat.RecordDuration(time.Since(t0))
+		// The shared session is the group's one simulation: it takes one
+		// slot, released before the records are built and before the
+		// fallback members below run.
+		var rs []*soc.Result
+		err := e.runOnSlot(ctx, int64(len(live)), func() (err error) {
+			rs, err = soc.RunForked(ctx, jobs[live[0].i].Config, members)
+			return err
+		})
 		if err != nil {
 			for _, m := range live {
 				e.countFailure(err)

@@ -4,15 +4,16 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
-	"io"
+	"hash"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 
 	"godpm/internal/acpi"
 	"godpm/internal/power"
 	"godpm/internal/sim"
 	"godpm/internal/soc"
+	"godpm/internal/stats"
 	"godpm/internal/task"
 	"godpm/internal/workload"
 )
@@ -350,76 +351,148 @@ func (e *keyEncoder) task(t *task.Task) {
 	e.time(t.Release)
 }
 
-// field writes one labelled value of the result digest's text encoding.
-// The label prevents adjacent fields from aliasing ("ab"+"c" vs "a"+"bc").
-func field(w io.Writer, name string, v any) {
-	fmt.Fprintf(w, "|%s=%+v", name, v)
-}
-
 // ResultDigest hashes the deterministic content of a Result: everything
 // the simulation computed, excluding host-timing fields (WallSeconds).
 // Two runs of configs with equal Fingerprints must produce equal digests
 // regardless of worker count, host load or cache state — the engine's
 // determinism tests are phrased in terms of this digest.
+//
+// The hashed text is a sequence of labelled fields "|name=value" whose
+// values read as fmt's %+v renders them: floats in shortest 'g' form,
+// sim.Time in its String form, ledger rows as
+// "{IP:… TaskID:… Request:… Start:… Done:… State:…}". The label keeps
+// adjacent fields from aliasing ("ab"+"c" vs "a"+"bc"). The text is built
+// with strconv appends in a fixed buffer that streams into the hash, so a
+// digest takes a handful of allocations however long the ledger is.
 func ResultDigest(r *soc.Result) string {
-	h := sha256.New()
-	io.WriteString(h, "godpm-result-v3")
-	field(h, "energy", r.EnergyJ)
-	field(h, "deltas", r.Deltas)
-	field(h, "stopreason", r.StopReason)
-	writeFloatMap(h, "energyby", r.EnergyByIP)
-	field(h, "busenergy", r.BusEnergyJ)
-	field(h, "avgtemp", r.AvgTempC)
-	field(h, "peaktemp", r.PeakTempC)
-	field(h, "ambient", r.AmbientC)
-	field(h, "duration", r.Duration)
-	field(h, "completed", r.Completed)
-	field(h, "tasks", r.TasksDone)
-	field(h, "cycles", r.Cycles)
-	field(h, "soc", r.FinalSoC)
-	field(h, "batt", int(r.FinalBatteryStatus))
-	field(h, "gemev", r.GEMEvaluations)
-	field(h, "fan", r.FanSwitches)
-	field(h, "busocc", r.BusOccupancy)
+	d := &digester{h: sha256.New()}
+	d.buf = append(d.arr[:0], "godpm-result-v3"...)
+	d.float(r.EnergyJ, "energy")
+	d.label("deltas")
+	d.buf = strconv.AppendUint(d.buf, r.Deltas, 10)
+	d.str(r.StopReason, "stopreason")
+	for _, k := range sortedKeys(d.keys[:0], r.EnergyByIP) {
+		d.float(r.EnergyByIP[k], "energyby.", k)
+	}
+	d.float(r.BusEnergyJ, "busenergy")
+	d.float(r.AvgTempC, "avgtemp")
+	d.float(r.PeakTempC, "peaktemp")
+	d.float(r.AmbientC, "ambient")
+	d.time(r.Duration, "duration")
+	d.label("completed")
+	d.buf = strconv.AppendBool(d.buf, r.Completed)
+	d.int(r.TasksDone, "tasks")
+	d.float(r.Cycles, "cycles")
+	d.float(r.FinalSoC, "soc")
+	d.int(int(r.FinalBatteryStatus), "batt")
+	d.int(r.GEMEvaluations, "gemev")
+	d.int(r.FanSwitches, "fan")
+	d.float(r.BusOccupancy, "busocc")
 	if r.Ledger != nil {
-		field(h, "nledger", r.Ledger.Len())
-		for _, rec := range r.Ledger.Records() {
-			field(h, "l", rec)
+		d.int(r.Ledger.Len(), "nledger")
+		for i := range r.Ledger.Records() {
+			d.ledgerRow(&r.Ledger.Records()[i])
 		}
 	}
-	names := make([]string, 0, len(r.LEMStats))
-	for name := range r.LEMStats {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	var names [8]string
+	for _, name := range sortedKeys(names[:0], r.LEMStats) {
 		s := r.LEMStats[name]
-		writeIntMap(h, name+".on", s.OnDecisions)
-		writeIntMap(h, name+".sleep", s.SleepEntries)
-		field(h, name+".park", s.ParkEvents)
-		field(h, name+".parked", s.ParkedTime)
+		for _, k := range sortedKeys(d.keys[:0], s.OnDecisions) {
+			d.int(s.OnDecisions[k], name, ".on.", k)
+		}
+		for _, k := range sortedKeys(d.keys[:0], s.SleepEntries) {
+			d.int(s.SleepEntries[k], name, ".sleep.", k)
+		}
+		d.int(s.ParkEvents, name, ".park")
+		d.time(s.ParkedTime, name, ".parked")
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return d.sum()
 }
 
-func writeFloatMap(w io.Writer, name string, m map[string]float64) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		field(w, name+"."+k, m[k])
-	}
+// The digester's buffer size, and the length past which label hands the
+// buffered text to the hash: the room left holds any one field short of
+// an unusually long name or string, and a longer one merely grows the
+// buffer until the next flush.
+const (
+	digestBufLen  = 1024
+	digestFlushAt = digestBufLen - 256
+)
+
+// digester builds ResultDigest's text and streams it into one hash.
+type digester struct {
+	h    hash.Hash
+	buf  []byte
+	arr  [digestBufLen]byte
+	keys [8]string // backing store for one map's sorted keys
 }
 
-func writeIntMap(w io.Writer, name string, m map[string]int) {
-	keys := make([]string, 0, len(m))
+// label starts the field "|name=", name being parts concatenated,
+// flushing the buffer to the hash first when it is nearly full.
+func (d *digester) label(parts ...string) {
+	if len(d.buf) > digestFlushAt {
+		d.h.Write(d.buf)
+		d.buf = d.arr[:0]
+	}
+	d.buf = append(d.buf, '|')
+	for _, p := range parts {
+		d.buf = append(d.buf, p...)
+	}
+	d.buf = append(d.buf, '=')
+}
+
+// float, int, time and str write one field, its label the
+// concatenated parts.
+func (d *digester) float(v float64, label ...string) {
+	d.label(label...)
+	d.buf = strconv.AppendFloat(d.buf, v, 'g', -1, 64)
+}
+
+func (d *digester) int(v int, label ...string) {
+	d.label(label...)
+	d.buf = strconv.AppendInt(d.buf, int64(v), 10)
+}
+
+func (d *digester) time(v sim.Time, label ...string) {
+	d.label(label...)
+	d.buf = v.Append(d.buf)
+}
+
+func (d *digester) str(v string, label ...string) {
+	d.label(label...)
+	d.buf = append(d.buf, v...)
+}
+
+// ledgerRow writes one ledger record as "|l={IP:… State:…}".
+func (d *digester) ledgerRow(rec *stats.TaskRecord) {
+	d.label("l")
+	d.buf = append(d.buf, "{IP:"...)
+	d.buf = append(d.buf, rec.IP...)
+	d.buf = append(d.buf, " TaskID:"...)
+	d.buf = strconv.AppendInt(d.buf, int64(rec.TaskID), 10)
+	d.buf = append(d.buf, " Request:"...)
+	d.buf = rec.Request.Append(d.buf)
+	d.buf = append(d.buf, " Start:"...)
+	d.buf = rec.Start.Append(d.buf)
+	d.buf = append(d.buf, " Done:"...)
+	d.buf = rec.Done.Append(d.buf)
+	d.buf = append(d.buf, " State:"...)
+	d.buf = append(d.buf, rec.State...)
+	d.buf = append(d.buf, '}')
+}
+
+// sum flushes the rest of the text and returns the hex digest.
+func (d *digester) sum() string {
+	d.h.Write(d.buf)
+	sum := d.h.Sum(d.arr[:0])
+	hex.Encode(d.arr[sha256.Size:], sum)
+	return string(d.arr[sha256.Size : 3*sha256.Size])
+}
+
+// sortedKeys appends m's keys to dst in ascending order.
+func sortedKeys[V any](dst []string, m map[string]V) []string {
 	for k := range m {
-		keys = append(keys, k)
+		dst = append(dst, k)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		field(w, name+"."+k, m[k])
-	}
+	slices.Sort(dst)
+	return dst
 }

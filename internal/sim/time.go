@@ -11,7 +11,7 @@
 // time).
 package sim
 
-import "fmt"
+import "strconv"
 
 // Time is a point in simulated time, measured in picoseconds.
 //
@@ -36,32 +36,41 @@ const MaxTime Time = 1<<63 - 1
 // String renders the time with the largest unit that divides it cleanly,
 // e.g. "150ns", "2.5us", "0s".
 func (t Time) String() string {
+	var buf [32]byte
+	return string(t.Append(buf[:0]))
+}
+
+// timeUnits are String's units, largest first.
+var timeUnits = [...]struct {
+	div  Time
+	name string
+}{{Sec, "s"}, {Ms, "ms"}, {Us, "us"}, {Ns, "ns"}, {Ps, "ps"}}
+
+// Append appends the String form of t to b and returns the extended
+// buffer. A span that is not a whole number of its unit renders as the
+// shortest decimal of the float64 quotient, the way fmt's %g does.
+func (t Time) Append(b []byte) []byte {
 	if t == 0 {
-		return "0s"
+		return append(b, "0s"...)
 	}
-	neg := ""
 	if t < 0 {
-		neg = "-"
+		b = append(b, '-')
 		t = -t
 	}
-	type unit struct {
-		div  Time
-		name string
-	}
-	units := []unit{{Sec, "s"}, {Ms, "ms"}, {Us, "us"}, {Ns, "ns"}, {Ps, "ps"}}
-	for _, u := range units {
+	for _, u := range timeUnits {
 		if t >= u.div {
-			whole := t / u.div
-			frac := t % u.div
-			if frac == 0 {
-				return fmt.Sprintf("%s%d%s", neg, whole, u.name)
+			if t%u.div == 0 {
+				b = strconv.AppendInt(b, int64(t/u.div), 10)
+			} else {
+				b = strconv.AppendFloat(b, float64(t)/float64(u.div), 'g', -1, 64)
 			}
-			// Render with a decimal fraction, trimming trailing zeros.
-			f := float64(t) / float64(u.div)
-			return fmt.Sprintf("%s%g%s", neg, f, u.name)
+			return append(b, u.name...)
 		}
 	}
-	return fmt.Sprintf("%s%dps", neg, t)
+	// Only the most negative Time gets here: negating it overflows back
+	// to itself.
+	b = strconv.AppendInt(b, int64(t), 10)
+	return append(b, "ps"...)
 }
 
 // Seconds converts the time to floating-point seconds.

@@ -301,6 +301,14 @@ func (c *Config) fillDefaults() error {
 	if c.Bus == (bus.Config{}) {
 		c.Bus = bus.DefaultConfig()
 	}
+	// Zero selects a default; a negative span is refused here rather than
+	// left to panic in the sampler or silently run for no time at all.
+	if c.SampleInterval < 0 {
+		return fmt.Errorf("soc: negative SampleInterval %s", c.SampleInterval)
+	}
+	if c.Horizon < 0 {
+		return fmt.Errorf("soc: negative Horizon %s", c.Horizon)
+	}
 	if c.SampleInterval == 0 {
 		c.SampleInterval = 100 * sim.Us
 	}

@@ -164,6 +164,19 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(bad); err == nil {
 		t.Error("GEM with non-DPM policy accepted")
 	}
+	for _, neg := range []func(*Config){
+		func(c *Config) { c.SampleInterval = -1 },
+		func(c *Config) { c.Horizon = -sim.Sec },
+	} {
+		c := smallConfig(PolicyDPM, 5)
+		neg(&c)
+		if _, err := c.Normalized(); err == nil {
+			t.Errorf("negative span accepted: SampleInterval %s, Horizon %s", c.SampleInterval, c.Horizon)
+		}
+		if _, err := Run(c); err == nil {
+			t.Error("Run accepted a negative span")
+		}
+	}
 	empty := smallConfig(PolicyDPM, 5)
 	empty.IPs[0].Sequence = nil
 	if _, err := Run(empty); err == nil {
